@@ -239,10 +239,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = ScoringServer(
             registry, host=args.host, port=args.port,
-            cache_size=args.cache_size,
-            batch_size=args.batch_size if args.batch_size > 0 else None,
-            max_workers=args.workers, quiet=not args.verbose,
-            wal_dir=args.wal_dir,
+            cache_size=args.cache_size, max_workers=args.workers,
+            quiet=not args.verbose, wal_dir=args.wal_dir,
             admission=admission, degraded=degraded,
             degraded_max_version_lag=getattr(args, "max_staleness", 8))
     except OSError as error:

@@ -168,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="port to bind (0 picks an ephemeral port)")
     serve.add_argument("--cache-size", type=int, default=32,
                        help="LRU capacity of each engine's result cache")
-    serve.add_argument("--batch-size", type=int, default=2048,
-                       help="region micro-batch of the cold scoring path "
-                            "(0 disables chunking)")
     serve.add_argument("--workers", type=int, default=4,
                        help="thread-pool width for concurrent scoring")
     serve.add_argument("--verbose", action="store_true",

@@ -24,7 +24,7 @@ from ..base import DetectorBase, validate_train_indices
 from ..nn.serialization import load_state_dict, save_state_dict
 from ..urg.graph import UrbanRegionGraph
 from .config import CMSFConfig, variant_config
-from .gate import SlaveStage, SlaveTrainingResult, slave_predict_proba, train_slave
+from .gate import SlaveStage, SlaveTrainingResult, train_slave
 from .master import MasterModel, MasterTrainingResult, train_master
 
 
@@ -69,11 +69,10 @@ class CMSFDetector(DetectorBase):
         ``plan`` is an optional precomputed :class:`repro.nn.EdgePlan` for
         ``graph`` (the serving engine passes its cached one); left as None a
         cached plan is looked up unless ``config.use_edge_plan`` is off.
+        The scores are those of :meth:`build_score_cache`, the one
+        inference forward every scoring path shares.
         """
-        self.check_fitted()
-        if self.slave_result is not None:
-            return slave_predict_proba(self.slave_result.stage, graph, plan=plan)
-        return self.master_result.model.predict_proba(graph, plan=plan)
+        return self.build_score_cache(graph, plan=plan).scores
 
     def build_score_cache(self, graph: UrbanRegionGraph, plan=None):
         """Full forward capturing the per-level encoder activations.
@@ -86,13 +85,13 @@ class CMSFDetector(DetectorBase):
         return build_score_cache(self, graph, plan=plan)
 
     def predict_proba_subset(self, graph: UrbanRegionGraph, node_ids,
-                             plan=None, cache=None, strategy: str = "wavefront"):
+                             plan=None, cache=None):
         """Rescore after a change confined to ``node_ids``.
 
         Runs the encoder only over the receptive field of ``node_ids``
         (their ``maga_layers``-hop out-neighbourhood, plus the halo needed
-        to recompute it exactly) and re-runs the cheap post-encoder tail
-        over every region.  Returns a
+        to recompute it exactly) and re-runs the post-encoder tail over
+        every region.  Returns a
         :class:`~repro.core.incremental.SubsetScoreResult` whose ``scores``
         are bit-identical in float64 to a full-rebuild
         :meth:`predict_proba`; the full forward stays the default and the
@@ -119,8 +118,7 @@ class CMSFDetector(DetectorBase):
                                  "use_edge_plan=False")
         seeds = DeltaSeeds(touched=node_ids, img_changed=node_ids,
                            keep_mask=None, num_added=0, num_removed=0)
-        return subset_rescore(self, graph, plan, seeds, cache,
-                              strategy=strategy)
+        return subset_rescore(self, graph, plan, seeds, cache)
 
     def cluster_assignment(self, graph: UrbanRegionGraph) -> np.ndarray:
         """Hard cluster membership of every region (empty if GSCM disabled)."""

@@ -15,6 +15,11 @@ slave model from the master model:
    parameters (Eq. 20);
 4. the filter gates the classifier parameters element-wise, yielding the
    region-specific slave model used for the final prediction (Eq. 21-23).
+
+Training differentiates through :meth:`SlaveStage.forward`, which builds the
+whole ``(N, h*d + 2h + 1)`` filter.  Inference runs :func:`gated_scores`
+instead: the same function fused into fixed row blocks of plain numpy, so
+that filter never exists in full.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from ..nn.tensor import Tensor, dtype_scope, no_grad
 from ..nn.training import EarlyStopping, binary_auc, validation_split
 from ..urg.graph import UrbanRegionGraph
 from .config import CMSFConfig
+from .gscm import GSCMOutput
 from .master import MasterModel, MasterTrainingResult, _val_due
+
+#: rows per block of :func:`gated_scores`; a block holds its filter logits
+#: and one ``(rows, h, d)`` product (~8.5 MB each for the default float64
+#: model), whatever the size of the city
+ROW_BLOCK = 256
 
 
 class PseudoLabelPredictor(Module):
@@ -209,13 +220,64 @@ def train_slave(master_result: MasterTrainingResult, graph: UrbanRegionGraph,
                                rank_loss_history=rank_history)
 
 
+def gated_scores(stage: SlaveStage, gscm_out: GSCMOutput) -> np.ndarray:
+    """Slave-model probabilities from the GSCM output (Eq. 17-23), inference only.
+
+    Computes what :meth:`SlaveStage.forward` computes after the encoder —
+    inclusion probabilities, context vectors, parameter filter, gated head —
+    but streams the filter and the head through blocks of
+    :data:`ROW_BLOCK` rows.  Within a block the filter ``sigmoid(z)`` is
+    folded into every gated term as a division by ``1 + exp(-z)``, one
+    ``exp`` pass; where ``exp`` overflows to inf the term takes its exact
+    limit 0.  Every inference path scores through this function, so their
+    results agree bit for bit; it matches the autograd ``forward_gated`` to
+    round-off.
+    """
+    classifier = stage.master.classifier
+    h, d = classifier.hidden_dim, classifier.input_dim
+    hd = h * d
+    with no_grad(), dtype_scope(stage.master.config.dtype):
+        inclusion = stage.pseudo_predictor(gscm_out.cluster_repr)
+        context = stage.gate.context_vector(gscm_out.assignment, inclusion).data
+    # -(c W_f^T) == c (-W_f)^T exactly, so the negation costs no pass
+    neg_filter_t = np.ascontiguousarray(-stage.gate.filter.weight.data.T)
+    filter_bias = stage.gate.filter.bias.data
+    w1, b1 = classifier.w1.data, classifier.b1.data
+    w2, b2 = classifier.w2.data, classifier.b2.data
+    x = gscm_out.enhanced.data
+    n = x.shape[0]
+    scores = np.empty(n, dtype=x.dtype)
+    # the two block-sized buffers, reused by every block
+    denom_buf = np.empty((min(ROW_BLOCK, n), neg_filter_t.shape[1]), dtype=x.dtype)
+    gated_buf = np.empty((min(ROW_BLOCK, n), h, d), dtype=x.dtype)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            m = min(ROW_BLOCK, n - start)
+            # 1 + exp(-z) per filter entry (Eq. 20), laid out as
+            # [w1 (h*d), b1 (h), w2 (h), b2 (1)]
+            denom = np.matmul(context[rows], neg_filter_t, out=denom_buf[:m])
+            denom -= filter_bias
+            np.exp(denom, out=denom)
+            denom += 1.0
+            # hidden = relu((F^w1 o W1) x + F^b1 o b1)  (Eq. 21-22)
+            gated = np.multiply(x[rows, None, :], w1, out=gated_buf[:m])
+            gated /= denom[:, :hd].reshape(m, h, d)
+            hidden = gated.sum(axis=-1)
+            hidden += b1 / denom[:, hd:hd + h]
+            np.maximum(hidden, 0.0, out=hidden)
+            # logit = (F^w2 o w2) . hidden + F^b2 o b2
+            hidden *= w2
+            hidden /= denom[:, hd + h:hd + 2 * h]
+            logit = hidden.sum(axis=-1)
+            logit += b2 / denom[:, -1]
+            scores[rows] = 1.0 / (1.0 + np.exp(-logit))
+    return scores
+
+
 def slave_predict_proba(stage: SlaveStage, graph: UrbanRegionGraph,
                         plan: Optional[EdgePlan] = None) -> np.ndarray:
     """Inference with the region-specific slave models (Section V-C)."""
-    if plan is None:
-        plan = stage.master.graph_plan(graph)
-    stage.eval()
-    with no_grad():
-        probs, _ = stage(graph, plan=plan)
-    stage.train()
-    return probs.data.copy()
+    with stage.evaluating(), no_grad():
+        _, gscm_out = stage.master.encode(graph, plan=plan)
+        return gated_scores(stage, gscm_out)

@@ -10,23 +10,23 @@ rescore an updated city without re-running the encoder over every region:
 * :func:`delta_seeds` derives, from a :class:`~repro.stream.delta.GraphDelta`,
   the set of regions whose layer-0 state or in-edge set changes (mapped into
   the post-delta id space);
-* :func:`subset_rescore` recomputes the encoder only over the seeds'
-  receptive field — either layer by layer over shrinking frontiers
-  (``"wavefront"``, needs the cached activations) or over one induced
-  subgraph of the affected set plus its ``k``-hop halo (``"subgraph"``,
-  via :meth:`EdgePlan.subplan`) — splices the recomputed rows into the
-  cached activations, and re-runs everything downstream of the encoder.
+* :func:`subset_rescore` recomputes the encoder layer by layer over
+  shrinking frontiers of the seeds' receptive field (the "wavefront", from
+  the cached activations), splices the recomputed rows into the cached
+  activations, and re-runs everything downstream of the encoder.
 
-Exactness contract (float64, ``"wavefront"``): the spliced ``local_repr``
-is bit-identical to a full encoder forward of the new graph, and the tail
-(GSCM, gate, classifier) always runs over the **full** region set from
-that spliced representation, so the returned scores are bit-identical to a
+Exactness contract (float64): the spliced ``local_repr`` is bit-identical
+to a full encoder forward of the new graph, and the tail (GSCM, gate,
+classifier — :func:`tail_scores`, the same code every inference path
+runs) always covers the **full** region set from that spliced
+representation, so the returned scores are bit-identical to a
 full-rebuild ``predict_proba``.  Two structural facts shape the design:
 
 * the tail cannot be localised: GSCM's cluster representations sum over
   every region (Eq. 10), so in exact arithmetic any delta perturbs every
   score through the shared global context.  The win is confined to the
-  encoder — which is where the per-edge attention cost lives anyway;
+  encoder, and the tail is kept fast instead (the fused, row-blocked
+  :func:`~repro.core.gate.gated_scores`);
 * BLAS selects kernels (and accumulation order) by operand shape, so a
   row-subset product can round differently than the same rows inside the
   full product.  The wavefront therefore keeps every per-node projection
@@ -35,10 +35,7 @@ full-rebuild ``predict_proba``.  Two structural facts shape the design:
   attention softmax and message scatters — which profiling shows dominate
   the encoder cost by far.
 
-The ``"subgraph"`` strategy genuinely restricts *all* work to the halo
-subgraph via :meth:`EdgePlan.subplan`; it is the better cold-path choice
-but only matches the oracle to float64 round-off.  ``float32`` detectors
-match to round-off under either strategy (mirroring the float32 contract
+``float32`` detectors match to round-off (mirroring the float32 contract
 elsewhere).  The streaming layer's ``auto`` mode additionally verifies its
 first incremental result against the full oracle and falls back to full
 rescoring on any mismatch.
@@ -61,6 +58,7 @@ import numpy as np
 from ..nn.graphops import EdgePlan, affected_regions
 from ..nn.tensor import Tensor, dtype_scope, no_grad
 from ..urg.graph import UrbanRegionGraph
+from .gate import gated_scores
 
 __all__ = ["ScoreCache", "DeltaSeeds", "SubsetScoreResult", "delta_seeds",
            "build_score_cache", "subset_rescore", "tail_scores"]
@@ -139,8 +137,6 @@ class SubsetScoreResult:
     #: regions whose encoder output was recomputed (the delta's k-hop
     #: receptive field, before kernel-stability padding)
     interior: np.ndarray
-    #: "wavefront" or "subgraph"
-    strategy: str
     #: the refreshed cache for the new graph version
     cache: ScoreCache
 
@@ -210,50 +206,43 @@ def build_score_cache(detector, graph: UrbanRegionGraph,
                       plan: Optional[EdgePlan] = None) -> ScoreCache:
     """One full forward pass, capturing every encoder level.
 
-    The produced scores are bit-identical to ``detector.predict_proba``:
-    the same encoder forward runs (capture only copies references) and the
-    same tail is applied via :func:`tail_scores`.
+    This is ``CMSFDetector.predict_proba`` (which returns its ``scores``)
+    and so also the serving engine's cold path: the encoder forward
+    (capture only keeps references) followed by :func:`tail_scores`.  The
+    detector's train/eval modes are restored afterwards.
     """
     detector.check_fitted()
     master = _master_model(detector)
     if plan is None:
         plan = master.graph_plan(graph)
-    encoder = master.encoder
     collect: List[Level] = []
-    module = detector.slave_result.stage if detector.slave_result is not None else master
-    module.eval()
-    try:
-        with no_grad(), dtype_scope(master.config.dtype):
-            local = encoder(graph.x_poi, graph.x_img, graph.edge_index,
-                            plan=plan, collect=collect)
-            scores = tail_scores(detector, local)
-    finally:
-        module.train()
+    with detector._persisted_module().evaluating(), no_grad(), \
+            dtype_scope(master.config.dtype):
+        local = master.encoder(graph.x_poi, graph.x_img, graph.edge_index,
+                               plan=plan, collect=collect)
+        scores = tail_scores(detector, local)
     return ScoreCache(levels=collect, local_repr=local.data, scores=scores)
 
 
 def tail_scores(detector, local_repr) -> np.ndarray:
     """Everything downstream of the encoder, over the full region set.
 
-    Mirrors ``MasterModel.forward`` / ``slave_predict_proba`` operation for
-    operation from the fused encoder output, so feeding the encoder's own
-    output reproduces ``predict_proba`` bit-for-bit.  Callers are expected
-    to hold ``no_grad``/eval mode; this function only adds the dtype scope.
+    The one post-encoder tail of every inference path: GSCM, then the
+    fused slave-model kernel :func:`~repro.core.gate.gated_scores` for gated
+    detectors or the shared classifier otherwise (GSCM skipped when the
+    detector has none).  Feeding the encoder's own output therefore
+    reproduces ``predict_proba`` bit for bit.  Nothing in the tail reads
+    the train/eval mode.
     """
     master = _master_model(detector)
     local = local_repr if isinstance(local_repr, Tensor) else Tensor(local_repr)
     with no_grad(), dtype_scope(master.config.dtype):
         if master.gscm is None:
-            return master.classifier(local).data.copy()
+            return master.classifier(local).data
         gscm_out = master.gscm(local)
         if detector.slave_result is not None:
-            stage = detector.slave_result.stage
-            inclusion = stage.pseudo_predictor(gscm_out.cluster_repr)
-            parameter_filter = stage.gate(gscm_out.assignment, inclusion)
-            probs = master.classifier.forward_gated(gscm_out.enhanced,
-                                                    parameter_filter)
-            return probs.data.copy()
-        return master.classifier(gscm_out.enhanced).data.copy()
+            return gated_scores(detector.slave_result.stage, gscm_out)
+        return master.classifier(gscm_out.enhanced).data
 
 
 def _master_model(detector):
@@ -317,46 +306,8 @@ def _encode_wavefront(encoder, graph: UrbanRegionGraph, plan: EdgePlan,
     return new_levels, interior
 
 
-def _encode_subgraph(encoder, graph: UrbanRegionGraph, plan: EdgePlan,
-                     seeds: DeltaSeeds, cache: ScoreCache
-                     ) -> Tuple[List[Level], np.ndarray]:
-    """Induced-subgraph recomputation over the affected set + k-hop halo.
-
-    Unlike the wavefront, every operation — including the per-node
-    projections — runs on the subgraph's rows only, so this is the cheapest
-    path when almost nothing is cached; the price is that BLAS may pick
-    different kernels for the smaller row counts, making the recomputed
-    rows agree with the full forward to float64 round-off rather than
-    bit-for-bit.  The streaming hot path therefore defaults to the
-    wavefront; this strategy serves cold subset scoring and cross-checks.
-    """
-    hops = len(encoder.layers)
-    interior = affected_regions(plan, seeds.touched, hops, direction="out")
-    sub = plan.subplan(interior, halo=hops)
-    x_poi = (np.ascontiguousarray(graph.x_poi[sub.nodes]) if encoder.has_poi
-             else np.zeros((sub.num_nodes, 1)))
-    x_img = (np.ascontiguousarray(graph.x_img[sub.nodes]) if encoder.has_img
-             else np.zeros((sub.num_nodes, 1)))
-    collect: List[Level] = []
-    encoder(x_poi, x_img, None, plan=sub.plan, collect=collect)
-    # Level j of the subgraph run is exact (up to kernel round-off) on the
-    # ring that still has its full (hops - j)-hop in-neighbourhood inside
-    # the subgraph.
-    new_levels: List[Level] = [_level0(encoder, graph, seeds, cache)]
-    for j in range(1, hops + 1):
-        ring = affected_regions(plan, interior, hops - j, direction="in")
-        local = sub.local_of(ring)
-        poi_out = cache.levels[j][0].copy()
-        img_out = cache.levels[j][1].copy()
-        poi_out[ring] = collect[j][0][local]
-        img_out[ring] = collect[j][1][local]
-        new_levels.append((poi_out, img_out))
-    return new_levels, interior
-
-
 def subset_rescore(detector, graph: UrbanRegionGraph, plan: EdgePlan,
-                   seeds: DeltaSeeds, cache: ScoreCache,
-                   strategy: str = "wavefront") -> SubsetScoreResult:
+                   seeds: DeltaSeeds, cache: ScoreCache) -> SubsetScoreResult:
     """Rescore ``graph`` incrementally from a previous version's cache.
 
     ``cache`` must describe the *previous* graph version; region additions
@@ -365,9 +316,6 @@ def subset_rescore(detector, graph: UrbanRegionGraph, plan: EdgePlan,
     version; the input cache is never mutated, so a failed update cannot
     corrupt the stream's state.
     """
-    if strategy not in ("wavefront", "subgraph"):
-        raise ValueError("strategy must be 'wavefront' or 'subgraph', got %r"
-                         % (strategy,))
     detector.check_fitted()
     master = _master_model(detector)
     encoder = master.encoder
@@ -388,23 +336,13 @@ def subset_rescore(detector, graph: UrbanRegionGraph, plan: EdgePlan,
     if seeds.is_empty:
         return SubsetScoreResult(scores=cache.scores.copy(),
                                  interior=np.zeros(0, dtype=np.int64),
-                                 strategy=strategy, cache=cache)
+                                 cache=cache)
 
-    module = detector.slave_result.stage if detector.slave_result is not None else master
-    module.eval()
-    try:
-        with no_grad(), dtype_scope(master.config.dtype):
-            if strategy == "wavefront":
-                levels, interior = _encode_wavefront(
-                    encoder, graph, plan, seeds, cache)
-            else:
-                levels, interior = _encode_subgraph(
-                    encoder, graph, plan, seeds, cache)
-            poi_k, img_k = levels[-1]
-            local_repr = np.concatenate([poi_k, img_k], axis=-1)
-            scores = tail_scores(detector, local_repr)
-    finally:
-        module.train()
+    with detector._persisted_module().evaluating(), no_grad(), \
+            dtype_scope(master.config.dtype):
+        levels, interior = _encode_wavefront(encoder, graph, plan, seeds, cache)
+        poi_k, img_k = levels[-1]
+        local_repr = np.concatenate([poi_k, img_k], axis=-1)
+        scores = tail_scores(detector, local_repr)
     new_cache = ScoreCache(levels=levels, local_repr=local_repr, scores=scores)
-    return SubsetScoreResult(scores=scores, interior=interior,
-                             strategy=strategy, cache=new_cache)
+    return SubsetScoreResult(scores=scores, interior=interior, cache=new_cache)

@@ -174,11 +174,8 @@ class MasterModel(Module):
         Dropout is disabled and no autograd graph is built, so the result can
         be used for cheap validation-loss monitoring during training.
         """
-        self.eval()
-        with no_grad():
-            probs = self.forward(graph, plan=plan)
-        self.train()
-        return probs
+        with self.evaluating(), no_grad():
+            return self.forward(graph, plan=plan)
 
     def predict_proba(self, graph: UrbanRegionGraph,
                       plan: Optional[EdgePlan] = None) -> np.ndarray:

@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import sparse as sp
 
-__all__ = ["SegmentPlan", "EdgePlan", "SubPlan", "Frontier",
+__all__ = ["SegmentPlan", "EdgePlan", "Frontier",
            "affected_regions", "clear_plan_cache", "plan_cache_info"]
 
 
@@ -262,56 +262,6 @@ class Frontier:
             self.num_dst)
 
 
-class SubPlan:
-    """An induced-subgraph compute plan extracted from a parent plan.
-
-    ``nodes`` is the sorted union of the requested interior with its
-    ``halo`` -hop in-neighbourhood; ``plan`` is a fresh :class:`EdgePlan`
-    over the induced edges (relabelled to local ids, self-loops re-added in
-    the same per-destination position as the parent).  Running an encoder
-    over the subgraph yields, for the interior rows, exactly the values the
-    full graph forward would produce — provided the halo covers the
-    encoder's receptive field.
-    """
-
-    __slots__ = ("nodes", "interior", "interior_local", "halo_hops", "plan")
-
-    def __init__(self, parent: "EdgePlan", interior: np.ndarray,
-                 halo: int) -> None:
-        interior = np.unique(np.asarray(interior, dtype=np.int64))
-        if interior.size == 0:
-            raise ValueError("subplan needs at least one interior node")
-        if interior[0] < 0 or interior[-1] >= parent.num_nodes:
-            raise ValueError("interior ids out of range for a plan over %d "
-                             "nodes" % parent.num_nodes)
-        nodes = affected_regions(parent, interior, halo, direction="in")
-        raw = parent.raw_edge_index
-        mask = np.zeros(parent.num_nodes, dtype=bool)
-        mask[nodes] = True
-        keep = mask[raw[0]] & mask[raw[1]]
-        local = np.full(parent.num_nodes, -1, dtype=np.int64)
-        local[nodes] = np.arange(nodes.size)
-        sub_edges = local[raw[:, keep]]
-        self.nodes = nodes
-        self.interior = interior
-        self.interior_local = local[interior]
-        self.halo_hops = int(halo)
-        self.plan = EdgePlan(sub_edges, int(nodes.size),
-                             self_loops=parent.has_self_loops)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.nodes.size)
-
-    def local_of(self, ids: np.ndarray) -> np.ndarray:
-        """Local row indices of global ``ids`` (which must be in ``nodes``)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        local = np.searchsorted(self.nodes, ids)
-        if np.any(local >= self.nodes.size) or np.any(self.nodes[local] != ids):
-            raise ValueError("ids outside the subplan's node set")
-        return local
-
-
 class EdgePlan:
     """Graph-lifetime precomputation for one ``(edge_index, num_nodes)``.
 
@@ -324,8 +274,7 @@ class EdgePlan:
     """
 
     __slots__ = ("edge_index", "src", "dst", "num_nodes", "has_self_loops",
-                 "dst_plan", "src_plan", "_gcn_norm", "num_raw_edges",
-                 "_subplans")
+                 "dst_plan", "src_plan", "_gcn_norm")
 
     def __init__(self, edge_index: np.ndarray, num_nodes: int,
                  self_loops: bool = True) -> None:
@@ -336,7 +285,6 @@ class EdgePlan:
         if edge_index.ndim != 2 or edge_index.shape[0] != 2:
             raise ValueError("edge_index must have shape (2, M), got %s"
                              % (edge_index.shape,))
-        self.num_raw_edges = int(edge_index.shape[1])
         if self_loops:
             loops = np.arange(num_nodes, dtype=np.int64)
             edge_index = np.concatenate(
@@ -357,17 +305,11 @@ class EdgePlan:
         self.dst_plan = SegmentPlan(self.dst, num_nodes)
         self.src_plan = SegmentPlan(self.src, num_nodes)
         self._gcn_norm: Dict[np.dtype, np.ndarray] = {}
-        self._subplans: "OrderedDict[Tuple[str, int], SubPlan]" = OrderedDict()
 
     @property
     def num_edges(self) -> int:
         """Number of message-passing edges (including any self-loops)."""
         return self.edge_index.shape[1]
-
-    @property
-    def raw_edge_index(self) -> np.ndarray:
-        """The edge list as given at construction (self-loops excluded)."""
-        return self.edge_index[:, :self.num_raw_edges]
 
     @property
     def degrees(self) -> np.ndarray:
@@ -392,33 +334,6 @@ class EdgePlan:
     # ------------------------------------------------------------------
     # incremental machinery
     # ------------------------------------------------------------------
-    def subplan(self, node_ids: np.ndarray, halo: int = 0) -> SubPlan:
-        """A (cached) induced-subgraph plan around ``node_ids``.
-
-        ``halo`` extra in-neighbourhood hops are included so an encoder with
-        ``halo`` stacked layers reproduces the full-graph values on the
-        interior rows exactly.  Cached content-keyed (like :meth:`for_edges`)
-        on this plan instance, so replaying the same delta neighbourhood
-        reuses the extraction.
-        """
-        global _SUBPLAN_BUILDS
-        node_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
-        digest = hashlib.sha256(np.ascontiguousarray(node_ids).tobytes())
-        key = (digest.hexdigest(), int(halo))
-        with _CACHE_LOCK:
-            cached = self._subplans.get(key)
-            if cached is not None:
-                self._subplans.move_to_end(key)
-                return cached
-        sub = SubPlan(self, node_ids, halo)
-        with _CACHE_LOCK:
-            _SUBPLAN_BUILDS += 1
-            self._subplans[key] = sub
-            self._subplans.move_to_end(key)
-            while len(self._subplans) > _SUBPLAN_CACHE_CAPACITY:
-                self._subplans.popitem(last=False)
-        return sub
-
     def frontier(self, dst_nodes: np.ndarray) -> Frontier:
         """A :class:`Frontier` aggregating this plan's in-edges of ``dst_nodes``."""
         return Frontier(self, dst_nodes)
@@ -465,10 +380,6 @@ _CACHE_LOCK = threading.Lock()
 #: lifetime count of EdgePlan constructions — the streaming layer's tests
 #: use it to prove that feature-only deltas never rebuild a plan
 _PLAN_BUILDS = 0
-#: lifetime count of SubPlan extractions (cache misses of EdgePlan.subplan)
-_SUBPLAN_BUILDS = 0
-#: per-parent-plan capacity of the content-keyed subplan cache
-_SUBPLAN_CACHE_CAPACITY = 16
 
 
 def clear_plan_cache() -> None:
@@ -481,4 +392,4 @@ def plan_cache_info() -> Dict[str, int]:
     """Size, capacity and lifetime build count of the plan machinery."""
     with _CACHE_LOCK:
         return {"entries": len(_PLAN_CACHE), "capacity": _PLAN_CACHE_CAPACITY,
-                "builds": _PLAN_BUILDS, "subplan_builds": _SUBPLAN_BUILDS}
+                "builds": _PLAN_BUILDS}

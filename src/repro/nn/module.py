@@ -9,6 +9,7 @@ switch behaviours such as dropout.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -94,6 +95,22 @@ class Module:
     def eval(self) -> "Module":
         """Set evaluation mode recursively."""
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self) -> Iterator["Module"]:
+        """Evaluation mode inside the block; every submodule's own mode after.
+
+        Inference entry points run under this, so they hand the caller's
+        model back in the mode it was given: an eval-mode model must not
+        come back in training mode, with dropout on.
+        """
+        modes = [(module, module.training) for _, module in self.named_modules()]
+        self.eval()
+        try:
+            yield self
+        finally:
+            for module, mode in modes:
+                module.training = mode
 
     def zero_grad(self) -> None:
         """Clear the gradient of every parameter."""

@@ -12,8 +12,8 @@ fitted detector, then score many cities fast:
   mirror of :class:`~repro.data.DatasetRegistry`);
 * :mod:`repro.serve.engine` — an :class:`InferenceEngine` that loads a
   bundle once and serves predictions with an LRU result cache keyed by
-  :meth:`~repro.urg.graph.UrbanRegionGraph.fingerprint`, micro-batched
-  region scoring and a thread pool for concurrent multi-city requests;
+  :meth:`~repro.urg.graph.UrbanRegionGraph.fingerprint`, a cached edge plan
+  per city and a thread pool for concurrent multi-city requests;
 * :mod:`repro.serve.wire` — the JSON wire format shipping graphs, graph
   deltas and scores over HTTP;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — a stdlib-only

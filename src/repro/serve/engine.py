@@ -2,20 +2,12 @@
 
 An :class:`InferenceEngine` wraps one loaded model bundle and serves
 predictions over :class:`~repro.urg.graph.UrbanRegionGraph` inputs with
-three speed mechanisms the offline pipeline does not have:
+speed mechanisms the offline pipeline does not have:
 
 * **LRU result cache** — full-graph probability vectors are cached keyed
   by :meth:`UrbanRegionGraph.fingerprint`, so repeated scoring of the same
   city (the common serving pattern: many requests about one region set)
   costs one hash instead of a forward pass;
-* **micro-batched region scoring** — message passing needs the whole
-  graph, but the per-region head (gate context → parameter filter → gated
-  classifier) materialises an ``(N, hidden, dim)`` filter tensor; the cold
-  path runs the encoder once and then applies the head in region chunks,
-  bounding peak memory on large cities (every head operation is
-  row-independent, so chunking only perturbs BLAS summation order —
-  results agree with the monolithic pass to float64 round-off, and
-  graphs smaller than one chunk take the monolithic, bit-identical path);
 * **thread-pooled multi-city scoring** — :meth:`score_many` fans
   independent graphs out over a thread pool (numpy releases the GIL in
   the BLAS-heavy parts) for concurrent multi-city requests;
@@ -46,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.cmsf import CMSFDetector
+from ..core.gate import ROW_BLOCK
 from ..nn.graphops import EdgePlan
-from ..nn.tensor import dtype_scope, no_grad
 from ..obs import MetricsRegistry, default_registry
 from ..urg.graph import UrbanRegionGraph
 from .bundle import ModelBundle, load_bundle
@@ -189,9 +181,6 @@ class InferenceEngine:
     cache_size:
         Maximum number of full-graph score vectors kept in the LRU cache
         (0 disables caching).
-    batch_size:
-        Region chunk size of the micro-batched head on the cold path.
-        ``None`` scores every region in one shot.
     max_workers:
         Thread-pool width used by :meth:`score_many`.
     metrics:
@@ -203,7 +192,7 @@ class InferenceEngine:
     """
 
     def __init__(self, detector: CMSFDetector, cache_size: int = 32,
-                 batch_size: Optional[int] = 2048, max_workers: int = 4,
+                 max_workers: int = 4,
                  model_name: Optional[str] = None,
                  model_version: Optional[str] = None,
                  expected_poi_dim: Optional[int] = None,
@@ -212,8 +201,6 @@ class InferenceEngine:
                  plan_cache_size: int = 8,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         detector.check_fitted()
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive or None")
         if (expected_dtype is not None
                 and expected_dtype != detector.config.dtype):
             raise ValueError(
@@ -221,7 +208,6 @@ class InferenceEngine:
                 f"loaded detector computes in {detector.config.dtype!r}; the "
                 "bundle is inconsistent — repackage it")
         self.detector = detector
-        self.batch_size = batch_size
         self.max_workers = max(1, int(max_workers))
         self.model_name = model_name
         self.model_version = model_version
@@ -296,6 +282,12 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
+    @property
+    def batch_size(self) -> int:
+        """Rows per block of the fused inference tail on the cold path
+        (:data:`repro.core.gate.ROW_BLOCK`; a constant, not a setting)."""
+        return ROW_BLOCK
+
     @property
     def cache_stats(self) -> CacheStats:
         return self._cache.stats
@@ -571,58 +563,6 @@ class InferenceEngine:
 
     def _cold_scores(self, graph: UrbanRegionGraph,
                      fingerprint: str) -> np.ndarray:
-        """One full forward pass, micro-batching the per-region head.
-
-        Every head operation (gate context, parameter filter, gated
-        classifier, plain classifier) is row-independent, so chunking is
-        mathematically exact; numerically the chunk shape can flip BLAS
-        kernel blocking, so chunked output agrees with the monolithic pass
-        to float64 round-off (~1e-15) rather than bit-for-bit.  Graphs that
-        fit in one chunk (including everything below ``batch_size``) take
-        the monolithic path and are bit-identical to ``predict_proba``.
-        """
-        plan = self._graph_plan(graph, fingerprint)
-        if self.batch_size is None or graph.num_nodes <= self.batch_size:
-            return self.detector.predict_proba(graph, plan=plan)
-        if self.detector.slave_result is not None:
-            return self._batched_slave_scores(graph, plan)
-        return self._batched_master_scores(graph, plan)
-
-    def _region_chunks(self, num_nodes: int):
-        step = self.batch_size
-        for start in range(0, num_nodes, step):
-            yield slice(start, min(start + step, num_nodes))
-
-    def _batched_slave_scores(self, graph: UrbanRegionGraph,
-                              plan: Optional[EdgePlan]) -> np.ndarray:
-        stage = self.detector.slave_result.stage
-        stage.eval()
-        try:
-            with no_grad(), dtype_scope(self.detector.config.dtype):
-                enhanced, gscm_out = stage.master.encode(graph, plan=plan)
-                inclusion = stage.pseudo_predictor(gscm_out.cluster_repr)
-                out = np.empty(graph.num_nodes,
-                               dtype=np.dtype(self.detector.config.dtype))
-                for chunk in self._region_chunks(graph.num_nodes):
-                    parameter_filter = stage.gate(gscm_out.assignment[chunk], inclusion)
-                    probs = stage.master.classifier.forward_gated(
-                        enhanced[chunk], parameter_filter)
-                    out[chunk] = probs.data
-        finally:
-            stage.train()
-        return out
-
-    def _batched_master_scores(self, graph: UrbanRegionGraph,
-                               plan: Optional[EdgePlan]) -> np.ndarray:
-        model = self.detector.master_result.model
-        model.eval()
-        try:
-            with no_grad(), dtype_scope(self.detector.config.dtype):
-                enhanced, _ = model.encode(graph, plan=plan)
-                out = np.empty(graph.num_nodes,
-                               dtype=np.dtype(self.detector.config.dtype))
-                for chunk in self._region_chunks(graph.num_nodes):
-                    out[chunk] = model.classifier(enhanced[chunk]).data
-        finally:
-            model.train()
-        return out
+        """One full forward pass: ``predict_proba`` on the cached plan."""
+        return self.detector.predict_proba(
+            graph, plan=self._graph_plan(graph, fingerprint))

@@ -117,6 +117,11 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: content type of the Prometheus text exposition format
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: how often the background accept loop looks for a shutdown request, so
+#: :meth:`ScoringServer.stop` returns within this bound (the stdlib's
+#: default is 0.5 s)
+_SHUTDOWN_POLL_S = 0.05
+
 #: fixed endpoint labels (GET method) — anything else is "other", and
 #: ``/models/<name>`` collapses to one label, so a scanner probing random
 #: paths cannot blow up the metric cardinality
@@ -158,8 +163,7 @@ class ScoringService:
     """
 
     def __init__(self, registry: Union[ModelRegistry, str],
-                 cache_size: int = 32, batch_size: Optional[int] = 2048,
-                 max_workers: int = 4,
+                 cache_size: int = 32, max_workers: int = 4,
                  metrics: Optional[MetricsRegistry] = None,
                  wal_dir=None, fsync: str = "interval",
                  checkpoint_interval_s: float = 30.0,
@@ -170,7 +174,6 @@ class ScoringService:
             registry = ModelRegistry(registry)
         self.registry = registry
         self.cache_size = cache_size
-        self.batch_size = batch_size
         self.max_workers = max_workers
         self.started_at = time.time()
         self.requests_served = 0
@@ -325,8 +328,7 @@ class ScoringService:
             # model may both load, setdefault keeps exactly one
             engine = InferenceEngine.from_bundle(
                 directory, cache_size=self.cache_size,
-                batch_size=self.batch_size, max_workers=self.max_workers,
-                metrics=self.metrics)
+                max_workers=self.max_workers, metrics=self.metrics)
             with self._lock:
                 engine = self._engines.setdefault(key, engine)
         return engine
@@ -665,7 +667,7 @@ class ScoringService:
         """Serving-wide performance counters.
 
         One stop for the cache/compute health of the process: the
-        module-level plan cache (builds, subplan extractions), every
+        module-level plan cache (entries and builds), every
         engine's result-cache statistics, cold computes and stampedes
         avoided, and every open stream's incremental-rescoring counters.
         """
@@ -858,6 +860,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: connections; every response carries an explicit Content-Length
     #: (see ``_send_body``), which HTTP/1.1 persistent connections require
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: ``_send_body`` writes the
+    #: headers and the body as separate sends, and with Nagle's algorithm on
+    #: the body would wait for the client's delayed ACK (~40 ms a response)
+    disable_nagle_algorithm = True
     #: set by ScoringServer when quiet (the default for tests / in-process use)
     quiet = True
 
@@ -1019,15 +1025,14 @@ class ScoringServer:
 
     def __init__(self, registry: Union[ModelRegistry, str],
                  host: str = "127.0.0.1", port: int = 0,
-                 cache_size: int = 32, batch_size: Optional[int] = 2048,
-                 max_workers: int = 4, quiet: bool = True,
+                 cache_size: int = 32, max_workers: int = 4, quiet: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  wal_dir=None,
                  admission: Optional[AdmissionConfig] = None,
                  degraded: bool = False,
                  degraded_max_version_lag: int = 8) -> None:
         self.service = ScoringService(
-            registry, cache_size=cache_size, batch_size=batch_size,
+            registry, cache_size=cache_size,
             max_workers=max_workers, metrics=metrics, wal_dir=wal_dir,
             admission=admission, degraded=degraded,
             degraded_max_version_lag=degraded_max_version_lag)
@@ -1055,8 +1060,10 @@ class ScoringServer:
         """Serve in a daemon background thread and return immediately."""
         if self._thread is not None:
             raise RuntimeError("server already started")
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="repro-serve", daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
+            name="repro-serve", daemon=True)
         self._thread.start()
         return self
 

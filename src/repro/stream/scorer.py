@@ -659,7 +659,7 @@ class StreamingScorer:
 
         with self._engine.model_lock:
             result = subset_rescore(self._engine.detector, new_graph, plan,
-                                    seeds, state.cache, strategy="wavefront")
+                                    seeds, state.cache)
         if self._pending_verify and self.incremental == "auto":
             self._pending_verify = False
             self.stats.verified_rescores += 1

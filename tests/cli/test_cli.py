@@ -15,6 +15,16 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture(scope="module")
+def packaged_registry(tmp_path_factory):
+    """One packaged ``tiny`` model for the tests that only need something
+    to serve, stream or replay (packaging itself is tested on its own)."""
+    root = tmp_path_factory.mktemp("models")
+    assert main(["package", "--preset", "tiny", "--epochs", "8",
+                 "--registry", str(root), "--name", "tiny"]) == 0
+    return root
+
+
 class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -154,14 +164,11 @@ class TestPackageServeScore:
         assert exit_code == 2
         assert "only CMSF variants" in capsys.readouterr().err
 
-    def test_score_unknown_model_is_reported(self, tmp_path, capsys):
+    def test_score_unknown_model_is_reported(self, packaged_registry, capsys):
         from repro.serve import ModelRegistry, ScoringServer
 
-        registry_root = tmp_path / "models"
-        main(["package", "--preset", "tiny", "--epochs", "8",
-              "--registry", str(registry_root)])
-        capsys.readouterr()
-        server = ScoringServer(ModelRegistry(registry_root), quiet=True).start()
+        server = ScoringServer(ModelRegistry(packaged_registry),
+                               quiet=True).start()
         try:
             exit_code = main(["score", "--url", server.url, "--preset", "tiny",
                               "--model", "missing"])
@@ -175,17 +182,14 @@ class TestPackageServeScore:
         assert exit_code == 2
         assert "empty" in capsys.readouterr().err
 
-    def test_serve_reports_busy_port(self, tmp_path, capsys):
+    def test_serve_reports_busy_port(self, packaged_registry, capsys):
         import socket
 
-        main(["package", "--preset", "tiny", "--epochs", "8",
-              "--registry", str(tmp_path / "models")])
-        capsys.readouterr()
         with socket.socket() as blocker:
             blocker.bind(("127.0.0.1", 0))
             blocker.listen(1)
             port = blocker.getsockname()[1]
-            exit_code = main(["serve", "--registry", str(tmp_path / "models"),
+            exit_code = main(["serve", "--registry", str(packaged_registry),
                               "--port", str(port)])
         assert exit_code == 2
         assert "cannot bind" in capsys.readouterr().err
@@ -204,13 +208,6 @@ class TestPackageServeScore:
 
 
 class TestStream:
-    @pytest.fixture(scope="class")
-    def packaged_registry(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("stream-models")
-        assert main(["package", "--preset", "tiny", "--epochs", "8",
-                     "--registry", str(root), "--name", "tiny"]) == 0
-        return root
-
     def test_stream_local_registry_mode(self, packaged_registry, tmp_path, capsys):
         report_path = tmp_path / "drift.json"
         exit_code = main(["stream", "--preset", "tiny",
@@ -302,13 +299,6 @@ class TestRegistry:
 
 class TestWorkloadFleet:
     @pytest.fixture(scope="class")
-    def fleet_registry(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("fleet-models")
-        assert main(["package", "--preset", "tiny", "--epochs", "8",
-                     "--registry", str(root), "--name", "tiny"]) == 0
-        return root
-
-    @pytest.fixture(scope="class")
     def recorded_trace(self, tmp_path_factory, capsys=None):
         path = tmp_path_factory.mktemp("traces") / "trace.npz"
         assert main(["workload", "--preset", "tiny", "--cities", "2",
@@ -321,11 +311,11 @@ class TestWorkloadFleet:
         assert len(trace) == 12
         assert len(trace.cities) == 2
 
-    def test_fleet_replays_trace_and_verifies_oracle(self, fleet_registry,
+    def test_fleet_replays_trace_and_verifies_oracle(self, packaged_registry,
                                                      recorded_trace, tmp_path,
                                                      capsys):
         report_path = tmp_path / "fleet.json"
-        exit_code = main(["fleet", "--registry", str(fleet_registry),
+        exit_code = main(["fleet", "--registry", str(packaged_registry),
                           "--model", "tiny", "--shards", "2",
                           "--trace", str(recorded_trace),
                           "--verify-single", "--json", str(report_path)])
@@ -336,9 +326,9 @@ class TestWorkloadFleet:
         assert report["replay"]["ops"] == 12
         assert report["stats"]["fleet"]["no_replica_errors"] == 0
 
-    def test_fleet_chaos_demo_fails_over(self, fleet_registry, recorded_trace,
-                                         capsys):
-        exit_code = main(["fleet", "--registry", str(fleet_registry),
+    def test_fleet_chaos_demo_fails_over(self, packaged_registry,
+                                         recorded_trace, capsys):
+        exit_code = main(["fleet", "--registry", str(packaged_registry),
                           "--model", "tiny", "--shards", "3",
                           "--trace", str(recorded_trace),
                           "--kill-shard", "0", "--kill-after", "2",
@@ -349,17 +339,17 @@ class TestWorkloadFleet:
         # the killed shard shows up in the printed stats
         assert "DOWN" in out
 
-    def test_fleet_ad_hoc_workload_without_trace(self, fleet_registry, capsys):
-        exit_code = main(["fleet", "--registry", str(fleet_registry),
+    def test_fleet_ad_hoc_workload_without_trace(self, packaged_registry,
+                                                 capsys):
+        exit_code = main(["fleet", "--registry", str(packaged_registry),
                           "--model", "tiny", "--preset", "tiny",
                           "--shards", "2", "--ops", "8"])
         assert exit_code == 0
         assert "completed 8/8 ops" in capsys.readouterr().out
 
-    def test_fleet_kill_without_replication_is_reported(self, fleet_registry,
-                                                        recorded_trace,
-                                                        capsys):
-        exit_code = main(["fleet", "--registry", str(fleet_registry),
+    def test_fleet_kill_without_replication_is_reported(
+            self, packaged_registry, recorded_trace, capsys):
+        exit_code = main(["fleet", "--registry", str(packaged_registry),
                           "--model", "tiny", "--shards", "2",
                           "--replication", "1",
                           "--trace", str(recorded_trace),

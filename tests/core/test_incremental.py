@@ -1,12 +1,10 @@
 """Equivalence tests for delta-localised incremental scoring.
 
-The acceptance contract: for float64 detectors, ``subset_rescore`` with the
-``"wavefront"`` strategy produces scores **bit-identical** to a
-full-rebuild ``predict_proba`` of the updated graph — across seeded delta
-sequences covering feature patches, edge rewiring, region growth and
-removal, every ablation variant, and deltas placed right at (and across)
-the labelled-region boundary.  The ``"subgraph"`` strategy restricts all
-work to the induced halo subgraph and is held to float64 round-off.
+The acceptance contract: for float64 detectors, ``subset_rescore``
+produces scores **bit-identical** to a full-rebuild ``predict_proba`` of
+the updated graph — across seeded delta sequences covering feature
+patches, edge rewiring, region growth and removal, every ablation variant,
+and deltas placed right at (and across) the labelled-region boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ def _fit(graph, **overrides):
     return detector.fit(graph, graph.labeled_indices())
 
 
-def _walk(detector, graph, deltas, strategy):
+def _walk(detector, graph, deltas):
     """Apply ``deltas`` incrementally; yield (kind, incremental, oracle)."""
     plan = EdgePlan.for_graph(graph)
     cache = build_score_cache(detector, graph, plan)
@@ -43,8 +41,7 @@ def _walk(detector, graph, deltas, strategy):
         seeds = delta_seeds(delta, current)
         if delta.touches_topology:
             plan = EdgePlan.for_graph(updated)
-        result = subset_rescore(detector, updated, plan, seeds, cache,
-                                strategy=strategy)
+        result = subset_rescore(detector, updated, plan, seeds, cache)
         yield delta.kind, result, detector.predict_proba(updated)
         current, cache = updated, result.cache
 
@@ -62,7 +59,7 @@ class TestWavefrontBitIdentity:
         graph = tiny_graph_small_image
         detector = _fit(graph)
         for kind, result, oracle in _walk(detector, graph,
-                                          _evolution(graph, seed), "wavefront"):
+                                          _evolution(graph, seed)):
             assert oracle.dtype == np.float64
             assert np.array_equal(result.scores, oracle), kind
 
@@ -80,8 +77,7 @@ class TestWavefrontBitIdentity:
         graph = tiny_graph_small_image
         detector = _fit(graph, **overrides)
         for kind, result, oracle in _walk(detector, graph,
-                                          _evolution(graph, 7, steps=6),
-                                          "wavefront"):
+                                          _evolution(graph, 7, steps=6)):
             assert np.array_equal(result.scores, oracle), kind
 
     def test_region_deltas_are_refused(self, tiny_graph_small_image):
@@ -161,24 +157,13 @@ class TestWavefrontBitIdentity:
         graph = tiny_graph_small_image
         detector = _fit(graph, dtype="float32")
         for kind, result, oracle in _walk(detector, graph,
-                                          _evolution(graph, 3, steps=4),
-                                          "wavefront"):
+                                          _evolution(graph, 3, steps=4)):
             assert result.scores.dtype == np.float32
             np.testing.assert_allclose(result.scores, oracle,
                                        rtol=1e-4, atol=1e-5, err_msg=kind)
 
 
-class TestSubgraphStrategy:
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_matches_oracle_to_roundoff(self, tiny_graph_small_image, seed):
-        graph = tiny_graph_small_image
-        detector = _fit(graph)
-        for kind, result, oracle in _walk(detector, graph,
-                                          _evolution(graph, seed, steps=6),
-                                          "subgraph"):
-            np.testing.assert_allclose(result.scores, oracle,
-                                       rtol=0, atol=1e-11, err_msg=kind)
-
+class TestReceptiveField:
     def test_interior_is_receptive_field(self, tiny_graph_small_image):
         graph = tiny_graph_small_image
         detector = _fit(graph)
@@ -189,12 +174,10 @@ class TestSubgraphStrategy:
                            poi_values=graph.x_poi[rows] + 1.0)
         updated = delta.apply(graph)
         result = subset_rescore(detector, updated, plan,
-                                delta_seeds(delta, graph), cache,
-                                strategy="subgraph")
+                                delta_seeds(delta, graph), cache)
         from repro.nn.graphops import affected_regions
         expected = affected_regions(plan, rows, 1, direction="out")
         assert result.interior.tolist() == expected.tolist()
-        assert result.strategy == "subgraph"
 
 
 class TestApiSurface:
@@ -225,17 +208,6 @@ class TestApiSurface:
         detector = _fit(graph)
         with pytest.raises(ValueError, match="score cache"):
             detector.predict_proba_subset(graph, [0])
-
-    def test_subset_rescore_rejects_bad_strategy(self, tiny_graph_small_image):
-        graph = tiny_graph_small_image
-        detector = _fit(graph)
-        cache = detector.build_score_cache(graph)
-        plan = EdgePlan.for_graph(graph)
-        delta = GraphDelta(kind="noop", poi_rows=np.array([0]),
-                           poi_values=graph.x_poi[:1])
-        with pytest.raises(ValueError, match="strategy"):
-            subset_rescore(detector, graph, plan, delta_seeds(delta, graph),
-                           cache, strategy="telepathy")
 
     def test_stale_cache_rejected(self, tiny_graph_small_image):
         graph = tiny_graph_small_image

@@ -279,62 +279,6 @@ class TestAffectedRegions:
             affected_regions(np.zeros((2, 0), dtype=np.int64), [0], 1)
 
 
-class TestSubPlan:
-    def _grid_plan(self):
-        # 4x4 grid, symmetric 4-neighbourhood
-        n = 16
-        edges = []
-        for r in range(4):
-            for c in range(4):
-                i = r * 4 + c
-                if c < 3:
-                    edges += [(i, i + 1), (i + 1, i)]
-                if r < 3:
-                    edges += [(i, i + 4), (i + 4, i)]
-        return EdgePlan(np.asarray(edges, dtype=np.int64).T, n)
-
-    def test_induced_subgraph_preserves_per_dst_edge_order(self):
-        plan = self._grid_plan()
-        sub = plan.subplan(np.array([5]), halo=2)
-        # every interior in-edge must be present, relabelled, in the same
-        # relative order as the parent (raw edges first, self-loop last)
-        interior_local = sub.interior_local[0]
-        parent_srcs = plan.src[plan.dst == 5]
-        sub_srcs = sub.nodes[sub.plan.src[sub.plan.dst == interior_local]]
-        assert parent_srcs.tolist() == sub_srcs.tolist()
-
-    def test_halo_covers_receptive_field(self):
-        plan = self._grid_plan()
-        sub = plan.subplan(np.array([5]), halo=2)
-        expected = affected_regions(plan, [5], 2, direction="in")
-        assert sub.nodes.tolist() == expected.tolist()
-        assert sub.interior.tolist() == [5]
-
-    def test_subplan_is_cached_content_keyed(self):
-        plan = self._grid_plan()
-        before = plan_cache_info()["subplan_builds"]
-        first = plan.subplan(np.array([1, 2]), halo=1)
-        again = plan.subplan(np.array([2, 1, 2]), halo=1)
-        assert again is first
-        assert plan_cache_info()["subplan_builds"] == before + 1
-        other = plan.subplan(np.array([1, 2]), halo=2)
-        assert other is not first
-        assert plan_cache_info()["subplan_builds"] == before + 2
-
-    def test_local_of_rejects_outside_ids(self):
-        plan = self._grid_plan()
-        sub = plan.subplan(np.array([0]), halo=1)
-        with pytest.raises(ValueError, match="outside"):
-            sub.local_of(np.array([15]))
-
-    def test_interior_validation(self):
-        plan = self._grid_plan()
-        with pytest.raises(ValueError, match="interior"):
-            plan.subplan(np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="range"):
-            plan.subplan(np.array([99]))
-
-
 class TestFrontier:
     def test_gathers_every_in_edge_in_parent_order(self):
         edges = np.array([[0, 1, 2, 0], [1, 1, 1, 2]])

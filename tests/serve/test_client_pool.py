@@ -169,13 +169,16 @@ def hung_server():
     thread.start()
     yield f"http://127.0.0.1:{port}"
     alive.clear()
+    # closing the listener does not wake a thread blocked in accept(), so
+    # one last connection does; otherwise teardown waits out the join
+    socket.create_connection(("127.0.0.1", port), timeout=2).close()
+    thread.join(timeout=2)
     listener.close()
     for conn in accepted:
         try:
             conn.close()
         except OSError:
             pass
-    thread.join(timeout=2)
 
 
 class TestTimeoutFailover:

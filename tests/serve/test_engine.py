@@ -1,4 +1,4 @@
-"""The inference engine: caching, micro-batching, concurrency."""
+"""The inference engine: caching, the fused cold path, concurrency."""
 
 from __future__ import annotations
 
@@ -60,36 +60,20 @@ class TestCaching:
         assert result.fingerprint == fingerprint
 
 
-class TestMicroBatching:
-    def test_unchunked_path_is_bit_identical(self, model_registry,
-                                             tiny_graph_small_image,
-                                             reference_scores):
-        # default batch_size (2048) exceeds the tiny graph: monolithic path
-        engine = InferenceEngine.from_bundle(model_registry.load("tiny"))
-        np.testing.assert_array_equal(engine.predict_proba(tiny_graph_small_image),
-                                      reference_scores)
+class TestFusedTail:
+    """Cold scores run the one fused, row-blocked inference tail."""
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_chunked_scores_match_to_roundoff(self, model_registry,
-                                              tiny_graph_small_image,
-                                              reference_scores, batch_size):
-        # chunk shape flips BLAS kernel blocking, so exactness is float64
-        # round-off, not bit-for-bit (see InferenceEngine._cold_scores)
+    def test_cold_scores_reproducible(self, model_registry,
+                                      tiny_graph_small_image,
+                                      reference_scores):
         engine = InferenceEngine.from_bundle(model_registry.load("tiny"),
-                                             batch_size=batch_size)
-        np.testing.assert_allclose(engine.predict_proba(tiny_graph_small_image),
-                                   reference_scores, rtol=1e-12, atol=1e-13)
+                                             cache_size=0)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                engine.predict_proba(tiny_graph_small_image), reference_scores)
 
-    def test_chunked_scores_reproducible_for_fixed_batch(self, model_registry,
-                                                         tiny_graph_small_image):
-        engine = InferenceEngine.from_bundle(model_registry.load("tiny"),
-                                             batch_size=17, cache_size=0)
-        first = engine.predict_proba(tiny_graph_small_image)
-        second = engine.predict_proba(tiny_graph_small_image)
-        np.testing.assert_array_equal(first, second)
-
-    def test_master_only_batched_scores(self, tiny_graph_small_image,
-                                        fast_config, tmp_path):
+    def test_master_only_scores_bit_identical(self, tiny_graph_small_image,
+                                              fast_config, tmp_path):
         from repro.core import CMSFDetector
         from repro.serve import save_bundle, load_bundle
 
@@ -98,13 +82,40 @@ class TestMicroBatching:
         detector = CMSFDetector(config).fit(graph, graph.labeled_indices())
         reference = detector.predict_proba(graph)
         bundle = load_bundle(save_bundle(detector, tmp_path / "b", graph, name="m"))
-        engine = InferenceEngine.from_bundle(bundle, batch_size=17)
-        np.testing.assert_allclose(engine.predict_proba(graph), reference,
-                                   rtol=1e-12, atol=1e-13)
+        engine = InferenceEngine.from_bundle(bundle)
+        np.testing.assert_array_equal(engine.predict_proba(graph), reference)
 
-    def test_invalid_batch_size_rejected(self, model_registry):
-        with pytest.raises(ValueError, match="batch_size"):
-            InferenceEngine.from_bundle(model_registry.load("tiny"), batch_size=0)
+    def test_multi_block_city_bit_identical_across_paths(self, model_registry):
+        """On a city spanning three row blocks, the engine's cold path,
+        ``predict_proba`` and a streamed incremental update agree bit for
+        bit (they share one tail)."""
+        from repro.core.gate import ROW_BLOCK
+        from repro.stream import GraphDelta, StreamingScorer
+        from repro.synth import generate_city, mini_city
+        from repro.urg import UrgBuildConfig, build_urg
+        from repro.urg.image_features import ImageFeatureConfig
+
+        graph = build_urg(generate_city(mini_city(seed=7)), UrgBuildConfig(
+            image=ImageFeatureConfig(reduce_dim=32)))
+        assert graph.num_nodes > 2 * ROW_BLOCK
+        detector = model_registry.load("tiny").detector
+        engine = InferenceEngine.from_bundle(model_registry.load("tiny"),
+                                             cache_size=0)
+        np.testing.assert_array_equal(engine.predict_proba(graph),
+                                      detector.predict_proba(graph))
+
+        rows = np.array([3, ROW_BLOCK + 5, 2 * ROW_BLOCK + 1])
+        delta = GraphDelta(kind="poi_patch", poi_rows=rows,
+                           poi_values=graph.x_poi[rows] + 0.25)
+        streamed = InferenceEngine.from_bundle(model_registry.load("tiny"))
+        scorer = StreamingScorer(streamed, graph, warm=True,
+                                 incremental="always")
+        update = scorer.update(delta)
+        assert update.mode == "incremental"
+        updated = delta.apply(graph)
+        reference = detector.predict_proba(updated)
+        np.testing.assert_array_equal(update.probabilities, reference)
+        np.testing.assert_array_equal(engine.predict_proba(updated), reference)
 
 
 class TestScoring:

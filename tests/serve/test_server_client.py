@@ -10,6 +10,7 @@ probabilities equal direct ``predict_proba`` output and (b) a repeated
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -181,6 +182,33 @@ class TestEndToEndServing:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+
+class TestTransport:
+    def test_accepted_sockets_disable_nagle(self, model_registry,
+                                            tiny_graph_small_image,
+                                            monkeypatch):
+        """A response leaves as two sends (headers, then body); with
+        Nagle's algorithm on, the body would wait for the client's delayed
+        ACK, so every accepted socket must carry TCP_NODELAY."""
+        from repro.serve.server import _Handler
+
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with ScoringServer(model_registry, quiet=True) as running:
+            client = ScoringClient(running.url)
+            try:
+                client.score(tiny_graph_small_image, "tiny")
+            finally:
+                client.close()
+        assert nodelay and all(nodelay)
 
 
 class TestScoringServiceUnit:
