@@ -13,6 +13,7 @@ suite finishes in tens of minutes on a laptop.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,20 @@ from repro.experiments import run_scale
 
 
 BENCHMARKS_DIR = Path(__file__).parent.resolve()
+#: where the ``BENCH_*.json`` writers put their reports by default; ignored
+#: by git, so a test run leaves the checkout clean
+BENCH_OUT_DIR = BENCHMARKS_DIR.parent / ".bench-out"
+
+
+def bench_out_path(variable: str, name: str) -> Path:
+    """Output path of the ``BENCH_<name>.json`` report: the path in the
+    environment variable ``variable`` when set, otherwise
+    ``.bench-out/BENCH_<name>.json`` at the repository root."""
+    override = os.environ.get(variable)
+    if override:
+        return Path(override)
+    BENCH_OUT_DIR.mkdir(exist_ok=True)
+    return BENCH_OUT_DIR / f"BENCH_{name}.json"
 
 
 def pytest_collection_modifyitems(items):

@@ -13,7 +13,7 @@ replay is sequential and the shards share the GIL for non-BLAS work — so
 the gate is on identity and on the overhead staying within an order of
 magnitude, not on multi-shard throughput.
 
-Results are written to ``BENCH_fleet.json`` (override with
+Results are written to ``.bench-out/BENCH_fleet.json`` (override with
 ``REPRO_BENCH_OUT_FLEET``).  ``REPRO_BENCH_CITY=tiny`` shrinks the base
 city for CI smoke runs.
 """
@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.bench import (WorkloadConfig, derive_cities, generate_workload,
                          replay_trace, replays_identical, summarize_metrics)
 from repro.core import CMSFConfig, CMSFDetector
@@ -122,7 +122,6 @@ def test_fleet_replay_throughput(fleet_setup):
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT_FLEET",
-                                   "BENCH_fleet.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT_FLEET", "fleet")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[fleet-bench] wrote {out_path}")

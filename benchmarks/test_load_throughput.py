@@ -16,9 +16,10 @@ cache.  The gate asserts score throughput at 3 shards is at least
 digest trajectory is bit-identical to a serial single-shard oracle
 (concurrency must never change the numbers).
 
-Results land in ``BENCH_load.json`` (override ``REPRO_BENCH_OUT_LOAD``).
-``REPRO_BENCH_CITY=mini`` grows the base city; ``REPRO_BENCH_LOAD_OPS``
-and ``REPRO_BENCH_LOAD_RATE`` scale the trace and the offered load.
+Results land in ``.bench-out/BENCH_load.json`` (override
+``REPRO_BENCH_OUT_LOAD``).  ``REPRO_BENCH_CITY=mini`` grows the base city;
+``REPRO_BENCH_LOAD_OPS`` and ``REPRO_BENCH_LOAD_RATE`` scale the trace and
+the offered load.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.bench import (LOAD_SCHEMA_VERSION, LoadConfig, WorkloadConfig,
                          derive_cities, generate_workload,
                          load_matches_serial_oracle, replay_trace, run_load)
@@ -146,8 +147,7 @@ def test_open_loop_scaling(load_setup):
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT_LOAD",
-                                   "BENCH_load.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT_LOAD", "load")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[load-bench] wrote {out_path}")
 

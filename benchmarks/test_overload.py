@@ -21,7 +21,7 @@ on a 3-shard fleet with admission control + degraded mode enabled:
    closed->open->half_open->closed cycle, visible both in the router's
    transition log and in ``repro_resilience_breaker_transitions_total``.
 
-Results land in ``BENCH_overload.json`` (override
+Results land in ``.bench-out/BENCH_overload.json`` (override
 ``REPRO_BENCH_OUT_OVERLOAD``).  ``REPRO_BENCH_CITY=mini`` grows the base
 city; ``REPRO_BENCH_LOAD_OPS`` scales the trace.
 """
@@ -32,10 +32,10 @@ import json
 import os
 import platform
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.bench import (LOAD_SCHEMA_VERSION, LoadConfig, WorkloadConfig,
                          derive_cities, generate_workload,
                          load_matches_serial_oracle, replay_trace, run_load)
@@ -264,7 +264,6 @@ def test_overload_goodput_and_breaker_cycle(overload_setup):
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT_OVERLOAD",
-                                   "BENCH_overload.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT_OVERLOAD", "overload")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[overload-bench] wrote {out_path}")

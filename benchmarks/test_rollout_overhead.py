@@ -9,7 +9,7 @@ asserts the rollout replay's wall-clock is under ``MAX_OVERHEAD`` x a
 plain single-version replay of the *identical* trace (the rollout op is
 a no-op for the baseline backend, so both sides run the same ops).
 
-Results land in ``BENCH_rollout.json`` (override
+Results land in ``.bench-out/BENCH_rollout.json`` (override
 ``REPRO_BENCH_OUT_ROLLOUT``); ``REPRO_BENCH_ROLLOUT_OPS`` scales the
 trace and ``REPRO_BENCH_ROLLOUT_REPS`` the repetitions (best-of wins,
 squeezing scheduler noise out of the ratio).
@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.bench import (WorkloadConfig, derive_cities, generate_workload,
                          replay_rollout_trace, replay_trace, with_rollout)
 from repro.core import CMSFConfig, CMSFDetector
@@ -155,8 +155,7 @@ def test_shadow_scoring_overhead_under_gate(rollout_setup):
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT_ROLLOUT",
-                                   "BENCH_rollout.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT_ROLLOUT", "rollout")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[rollout-bench] wrote {out_path}")
 

@@ -24,7 +24,7 @@ Two detector configurations are timed side by side:
   and gated head must re-run city-wide for exact scores, bounding the
   achievable speedup to roughly full/(gate + head + sub-encoder).
 
-Results are written to ``BENCH_streaming.json`` (override with
+Results are written to ``.bench-out/BENCH_streaming.json`` (override with
 ``REPRO_BENCH_OUT_STREAMING``).  Defaults to the medium 32x36 city; CI
 smoke runs set ``REPRO_BENCH_CITY=tiny`` — the speedup gate only applies
 at the medium scale it was calibrated on.
@@ -38,11 +38,11 @@ import os
 import platform
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.core import CMSFConfig, CMSFDetector
 from repro.serve import InferenceEngine
 from repro.stream import GraphDelta, StreamingScorer
@@ -188,8 +188,7 @@ def test_streaming_latency(bench_graph):
                         "python": platform.python_version(),
                         "numpy": np.__version__},
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT_STREAMING",
-                                   "BENCH_streaming.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT_STREAMING", "streaming")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\n[streaming-latency] wrote {out_path.resolve()}")
     for det_name, rows in results.items():

@@ -10,11 +10,11 @@ speed, not reproduction fidelity.  It times, in the same run,
 * **slave-stage epochs** under the same three configurations;
 * **cold and warm scoring latency** through the serving engine.
 
-Results are written to ``BENCH_training.json`` (override the path with
-``REPRO_BENCH_OUT``) so the performance trajectory is tracked from this PR
-onward.  The city defaults to a *medium* 32x36 synthetic city; CI smoke
-runs set ``REPRO_BENCH_CITY=tiny`` to keep the job fast — the >= 3x
-speedup gate only applies at the medium scale it was calibrated on.
+Results are written to ``.bench-out/BENCH_training.json`` (override the
+path with ``REPRO_BENCH_OUT``) so the performance trajectory is tracked.
+The city defaults to a *medium* 32x36 synthetic city; CI smoke runs set
+``REPRO_BENCH_CITY=tiny`` to keep the job fast — the >= 3x speedup gate
+only applies at the medium scale it was calibrated on.
 
 Unlike the serving benchmark this one is left in the default ``slow``
 benchmark lane: it runs ~10 full training fits and carries a wall-clock
@@ -28,11 +28,11 @@ import json
 import os
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.conftest import bench_out_path
 from repro.core import CMSFConfig, CMSFDetector
 from repro.core.master import MasterModel, train_master
 from repro.core.gate import train_slave
@@ -183,7 +183,7 @@ def test_training_throughput(bench_graph, tmp_path):
                         "python": platform.python_version(),
                         "numpy": np.__version__},
     }
-    out_path = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_training.json"))
+    out_path = bench_out_path("REPRO_BENCH_OUT", "training")
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\n[training-throughput] wrote {out_path.resolve()}")
     print(json.dumps(payload["master_s_per_epoch"], indent=2))

@@ -16,10 +16,17 @@ slave model from the master model:
 4. the filter gates the classifier parameters element-wise, yielding the
    region-specific slave model used for the final prediction (Eq. 21-23).
 
-Training differentiates through :meth:`SlaveStage.forward`, which builds the
-whole ``(N, h*d + 2h + 1)`` filter.  Inference runs :func:`gated_scores`
-instead: the same function fused into fixed row blocks of plain numpy, so
-that filter never exists in full.
+Steps 3 and 4 run as one differentiable op, :func:`gated_head`, in fixed
+blocks of :data:`ROW_BLOCK` rows of plain numpy: neither training nor
+inference ever builds the whole ``(N, h*d + 2h + 1)`` filter.  Its backward
+saves only the representations and the context vectors and recomputes each
+block's filter and gated products (gradient checkpointing), so a slave
+epoch holds no ``N x (h*d + 2h + 1)`` intermediate either.  Training
+(:meth:`SlaveStage.forward`) and every inference path
+(:func:`gated_scores`) run the same op and agree bit for bit.
+:meth:`GateFunction.forward` and
+:meth:`~repro.core.master.MasterClassifier.forward_gated` remain as the
+autograd reference of the op.
 """
 
 from __future__ import annotations
@@ -36,16 +43,16 @@ from ..nn.losses import (binary_cross_entropy, class_balanced_weights,
                          pu_rank_loss)
 from ..nn.module import Module
 from ..nn.optim import Adam, ExponentialDecay
-from ..nn.tensor import Tensor, dtype_scope, no_grad
+from ..nn.tensor import Tensor, dtype_scope, is_grad_enabled, no_grad
 from ..nn.training import EarlyStopping, binary_auc, validation_split
 from ..urg.graph import UrbanRegionGraph
 from .config import CMSFConfig
 from .gscm import GSCMOutput
-from .master import MasterModel, MasterTrainingResult, _val_due
+from .master import MasterClassifier, MasterModel, MasterTrainingResult, _val_due
 
-#: rows per block of :func:`gated_scores`; a block holds its filter logits
+#: rows per block of :func:`gated_head`; a block holds its filter logits
 #: and one ``(rows, h, d)`` product (~8.5 MB each for the default float64
-#: model), whatever the size of the city
+#: model), whatever the size of the city, in the forward and the backward
 ROW_BLOCK = 256
 
 
@@ -89,6 +96,8 @@ class GateFunction(Module):
         return F.sigmoid(self.filter(context))
 
     def forward(self, assignment: Tensor, inclusion_probs: Tensor) -> Tensor:
+        """The whole filter (Eq. 19-20): the autograd reference of the
+        filter half of :func:`gated_head`."""
         return self.parameter_filter(self.context_vector(assignment, inclusion_probs))
 
 
@@ -122,11 +131,16 @@ class SlaveStage(Module):
             Per-cluster inclusion probability from the pseudo-label predictor.
         """
         with dtype_scope(self.master.config.dtype):
-            enhanced, gscm_out = self.master.encode(graph, plan=plan)
-            inclusion = self.pseudo_predictor(gscm_out.cluster_repr)
-            parameter_filter = self.gate(gscm_out.assignment, inclusion)
-            probs = self.master.classifier.forward_gated(enhanced, parameter_filter)
-            return probs, inclusion
+            _, gscm_out = self.master.encode(graph, plan=plan)
+            return self.head(gscm_out)
+
+    def head(self, gscm_out: GSCMOutput):
+        """Everything after the encoder: ``(probs, inclusion_probs)``."""
+        inclusion = self.pseudo_predictor(gscm_out.cluster_repr)
+        context = self.gate.context_vector(gscm_out.assignment, inclusion)
+        probs = gated_head(gscm_out.enhanced, context, self.gate.filter,
+                           self.master.classifier)
+        return probs, inclusion
 
 
 @dataclass
@@ -220,59 +234,151 @@ def train_slave(master_result: MasterTrainingResult, graph: UrbanRegionGraph,
                                rank_loss_history=rank_history)
 
 
-def gated_scores(stage: SlaveStage, gscm_out: GSCMOutput) -> np.ndarray:
-    """Slave-model probabilities from the GSCM output (Eq. 17-23), inference only.
+def _filter_denominator(context_rows: np.ndarray, neg_filter_t: np.ndarray,
+                        filter_bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 + exp(-z)`` for the filter logits ``z`` of a block (Eq. 20), in
+    ``out``; the filter is its reciprocal.  Entries are laid out as
+    ``[w1 (h*d), b1 (h), w2 (h), b2 (1)]``; where ``exp`` overflows the entry
+    is inf and its filter value the exact limit 0."""
+    denom = np.matmul(context_rows, neg_filter_t, out=out)
+    denom -= filter_bias
+    np.exp(denom, out=denom)
+    denom += 1.0
+    return denom
 
-    Computes what :meth:`SlaveStage.forward` computes after the encoder —
-    inclusion probabilities, context vectors, parameter filter, gated head —
-    but streams the filter and the head through blocks of
-    :data:`ROW_BLOCK` rows.  Within a block the filter ``sigmoid(z)`` is
-    folded into every gated term as a division by ``1 + exp(-z)``, one
-    ``exp`` pass; where ``exp`` overflows to inf the term takes its exact
-    limit 0.  Every inference path scores through this function, so their
-    results agree bit for bit; it matches the autograd ``forward_gated`` to
-    round-off.
+
+def _gated_hidden(x_rows: np.ndarray, denom: np.ndarray, w1: np.ndarray,
+                  b1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``relu((F^w1 o W1) x + F^b1 o b1)`` of a block (Eq. 21-22); ``out``
+    receives the gated products ``(F^w1 o W1) o x``."""
+    m = x_rows.shape[0]
+    h, d = w1.shape
+    gated = np.multiply(x_rows[:, None, :], w1, out=out)
+    gated /= denom[:, :h * d].reshape(m, h, d)
+    hidden = gated.sum(axis=-1)
+    hidden += b1 / denom[:, h * d:h * d + h]
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden
+
+
+def gated_head(enhanced: Tensor, context: Tensor, gate_filter: nn.Linear,
+               classifier: MasterClassifier) -> Tensor:
+    """Slave-model probabilities from representations and context vectors.
+
+    One differentiable op for the parameter filter (Eq. 20) and the gated
+    classifier (Eq. 21-23), streamed through blocks of :data:`ROW_BLOCK`
+    rows.  Within a block the filter ``sigmoid(z)`` is folded into every
+    gated term as a division by ``1 + exp(-z)``, one ``exp`` pass; where
+    ``exp`` overflows the term takes its exact limit 0.  The backward saves
+    nothing but ``enhanced`` and ``context``: block by block it recomputes
+    the filter and the gated products and accumulates the gradients of
+    both inputs, of the filter's weight and bias and of the classifier's
+    ``w1``, ``b1``, ``w2`` and ``b2``.  It matches the autograd
+    ``GateFunction.parameter_filter`` + ``MasterClassifier.forward_gated``
+    to round-off.
     """
-    classifier = stage.master.classifier
     h, d = classifier.hidden_dim, classifier.input_dim
     hd = h * d
-    with no_grad(), dtype_scope(stage.master.config.dtype):
-        inclusion = stage.pseudo_predictor(gscm_out.cluster_repr)
-        context = stage.gate.context_vector(gscm_out.assignment, inclusion).data
-    # -(c W_f^T) == c (-W_f)^T exactly, so the negation costs no pass
-    neg_filter_t = np.ascontiguousarray(-stage.gate.filter.weight.data.T)
-    filter_bias = stage.gate.filter.bias.data
-    w1, b1 = classifier.w1.data, classifier.b1.data
-    w2, b2 = classifier.w2.data, classifier.b2.data
-    x = gscm_out.enhanced.data
+    weight, bias = gate_filter.weight, gate_filter.bias
+    params = (classifier.w1, classifier.b1, classifier.w2, classifier.b2)
+    w1, b1, w2, b2 = (p.data for p in params)
+    x, c = enhanced.data, context.data
     n = x.shape[0]
+    blocks = [(slice(start, start + ROW_BLOCK), min(ROW_BLOCK, n - start))
+              for start in range(0, n, ROW_BLOCK)]
+
+    def buffers():
+        """-W_f^T (``-(c W_f^T) == c (-W_f)^T`` exactly, so the negation
+        costs no pass) and the block-sized buffers every block reuses."""
+        neg_filter_t = np.ascontiguousarray(-weight.data.T)
+        rows = min(ROW_BLOCK, n)
+        return (neg_filter_t,
+                np.empty((rows, neg_filter_t.shape[1]), dtype=x.dtype),
+                np.empty((rows, h, d), dtype=x.dtype))
+
+    neg_filter_t, denom_buf, gated_buf = buffers()
     scores = np.empty(n, dtype=x.dtype)
-    # the two block-sized buffers, reused by every block
-    denom_buf = np.empty((min(ROW_BLOCK, n), neg_filter_t.shape[1]), dtype=x.dtype)
-    gated_buf = np.empty((min(ROW_BLOCK, n), h, d), dtype=x.dtype)
     with np.errstate(over="ignore"):
-        for start in range(0, n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            m = min(ROW_BLOCK, n - start)
-            # 1 + exp(-z) per filter entry (Eq. 20), laid out as
-            # [w1 (h*d), b1 (h), w2 (h), b2 (1)]
-            denom = np.matmul(context[rows], neg_filter_t, out=denom_buf[:m])
-            denom -= filter_bias
-            np.exp(denom, out=denom)
-            denom += 1.0
-            # hidden = relu((F^w1 o W1) x + F^b1 o b1)  (Eq. 21-22)
-            gated = np.multiply(x[rows, None, :], w1, out=gated_buf[:m])
-            gated /= denom[:, :hd].reshape(m, h, d)
-            hidden = gated.sum(axis=-1)
-            hidden += b1 / denom[:, hd:hd + h]
-            np.maximum(hidden, 0.0, out=hidden)
+        for rows, m in blocks:
+            denom = _filter_denominator(c[rows], neg_filter_t, bias.data,
+                                        denom_buf[:m])
+            hidden = _gated_hidden(x[rows], denom, w1, b1, gated_buf[:m])
             # logit = (F^w2 o w2) . hidden + F^b2 o b2
             hidden *= w2
             hidden /= denom[:, hd + h:hd + 2 * h]
             logit = hidden.sum(axis=-1)
             logit += b2 / denom[:, -1]
             scores[rows] = 1.0 / (1.0 + np.exp(-logit))
-    return scores
+
+    inputs = (enhanced, context, weight, bias) + params
+    if not (is_grad_enabled() and any(t.requires_grad for t in inputs)):
+        return Tensor(scores)
+
+    def backward(grad: np.ndarray) -> None:
+        g_logit = grad.astype(x.dtype, copy=False) * scores * (1.0 - scores)
+        g_x, g_c = np.empty_like(x), np.empty_like(c)
+        g_weight = np.zeros_like(weight.data)
+        g_bias = np.zeros_like(bias.data)
+        g_w1, g_b1 = np.zeros_like(w1), np.zeros_like(b1)
+        g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
+        neg_filter_t, denom_buf, gated_buf = buffers()
+        with np.errstate(over="ignore"):
+            for rows, m in blocks:
+                g, x_rows, c_rows = g_logit[rows], x[rows], c[rows]
+                filt = _filter_denominator(c_rows, neg_filter_t, bias.data,
+                                           denom_buf[:m])
+                hidden = _gated_hidden(x_rows, filt, w1, b1, gated_buf[:m])
+                np.reciprocal(filt, out=filt)
+                f_w1 = filt[:, :hd].reshape(m, h, d)
+                f_b1, f_w2 = filt[:, hd:hd + h], filt[:, hd + h:hd + 2 * h]
+                f_b2 = filt[:, -1]
+                # logit = (F^w2 o w2) . hidden + F^b2 o b2
+                g_b2 += g @ f_b2
+                g_gated_w2 = g[:, None] * f_w2
+                g_w2 += (g_gated_w2 * hidden).sum(axis=0)
+                # hidden = relu(pre), pre = (F^w1 o W1) x + F^b1 o b1
+                g_pre = g_gated_w2 * w2
+                g_pre *= hidden > 0
+                g_b1 += (g_pre * f_b1).sum(axis=0)
+                g_gated = np.multiply(g_pre[:, :, None], f_w1, out=gated_buf[:m])
+                g_w1 += np.einsum("ikj,ij->kj", g_gated, x_rows)
+                g_x[rows] = np.einsum("ikj,kj->ij", g_gated, w1)
+                # the gradient of the filter's logits z, in place of the
+                # filter: F = sigmoid(z) has dF/dz = F (1 - F), never
+                # exp(-z)/denom^2, which is inf/inf where exp overflows.
+                # (In-place ops write 2-D views: numpy copies a strided 3-D
+                # output operand.)
+                g_f_w1 = np.multiply(x_rows[:, None, :], w1, out=gated_buf[:m])
+                g_f_w1 *= g_pre[:, :, None]
+                g_f_w1 *= f_w1
+                g_z_w1 = np.subtract(1.0, filt[:, :hd], out=filt[:, :hd])
+                np.multiply(g_f_w1.reshape(m, hd), g_z_w1, out=g_z_w1)
+                tail = filt[:, hd:]
+                tail *= 1.0 - tail
+                f_b1 *= g_pre * b1
+                f_w2 *= g[:, None] * w2 * hidden
+                f_b2 *= g * b2
+                g_bias += filt.sum(axis=0)
+                g_weight += filt.T @ c_rows
+                g_c[rows] = filt @ weight.data
+        for tensor, g_tensor in zip(inputs, (g_x, g_c, g_weight, g_bias,
+                                             g_w1, g_b1, g_w2, g_b2)):
+            if tensor.requires_grad:
+                tensor._accumulate(g_tensor)
+
+    return Tensor(scores, requires_grad=True, parents=inputs, backward=backward)
+
+
+def gated_scores(stage: SlaveStage, gscm_out: GSCMOutput) -> np.ndarray:
+    """Slave-model probabilities from the GSCM output (Eq. 17-23), inference only.
+
+    :meth:`SlaveStage.head` under ``no_grad``: the training forward's own
+    arithmetic, so every inference path and the training forward agree bit
+    for bit.
+    """
+    with no_grad(), dtype_scope(stage.master.config.dtype):
+        probs, _ = stage.head(gscm_out)
+    return probs.data
 
 
 def slave_predict_proba(stage: SlaveStage, graph: UrbanRegionGraph,

@@ -65,6 +65,10 @@ class MasterClassifier(Module):
     def forward_gated(self, x: Tensor, parameter_filter: Tensor) -> Tensor:
         """Region-wise gated prediction — Eq. 21-22.
 
+        The plain-autograd reference of :func:`repro.core.gate.gated_head`,
+        which training and inference run instead; it builds the whole
+        ``(N, num_gated_parameters)`` filter and ``(N, h, d)`` products.
+
         Parameters
         ----------
         x:

@@ -8,8 +8,10 @@ defined here.  The implementation follows the classic tape-based design:
 * every operation returns a new :class:`Tensor` holding its forward value,
   a reference to its parent tensors and a closure computing the local
   vector-Jacobian product;
-* :meth:`Tensor.backward` topologically sorts the tape and accumulates
-  gradients into every tensor created with ``requires_grad=True``.
+* :meth:`Tensor.backward` topologically sorts the tape, accumulates
+  gradients into every leaf created with ``requires_grad=True`` and
+  consumes the tape as it goes, so a training step holds at most one
+  forward pass's activations.
 
 Gradients are always stored as ``numpy.ndarray`` objects with the same shape
 as the tensor's data.  Broadcasting performed by numpy during the forward
@@ -151,6 +153,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """Backward closure of a node whose graph a backward pass already freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "already consumed; run the forward pass again")
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff."""
 
@@ -236,7 +244,17 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Run reverse-mode differentiation from this tensor.
+        """Run reverse-mode differentiation from this tensor, consuming its graph.
+
+        Nodes are visited in reverse topological order.  Once a non-leaf
+        node (a tensor made by an op) has passed its gradient to its
+        parents, its ``.grad``, its parents and its backward closure are
+        dropped, so each activation is freed as soon as the nodes that use
+        it are done and intermediate gradients are not kept.  Leaves
+        (tensors made directly, such as parameters) keep their ``.grad``.
+        The graph can therefore be walked once: a second ``backward()``
+        through a consumed node raises :class:`RuntimeError` instead of
+        silently producing no parameter gradients.
 
         Parameters
         ----------
@@ -272,10 +290,14 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            node = topo.pop()
+            step, node_grad = node._backward, node.grad
+            if step is None:  # a leaf keeps its gradient
                 continue
-            node._backward(node.grad)
+            node._backward, node._parents, node.grad = _consumed, (), None
+            if node_grad is not None:
+                step(node_grad)
 
     # ------------------------------------------------------------------
     # arithmetic

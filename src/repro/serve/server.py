@@ -1041,6 +1041,9 @@ class ScoringServer:
         self._httpd.daemon_threads = True
         self._httpd.service = self.service  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+        #: whether a serve loop ever ran; ``shutdown()`` waits for an event
+        #: only the serve loop sets, so without one it would block forever
+        self._served = False
 
     # ------------------------------------------------------------------
     @property
@@ -1064,16 +1067,20 @@ class ScoringServer:
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": _SHUTDOWN_POLL_S},
             name="repro-serve", daemon=True)
+        self._served = True
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
+        self._served = True
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Shut the server down and release the socket."""
-        self._httpd.shutdown()
+        """Shut the server down and release the socket (also when it never
+        served)."""
+        if self._served:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self.service.close()
         if self._thread is not None:

@@ -1,10 +1,13 @@
-"""The fused inference tail and the mode contract of inference entry points.
+"""The fused MS-Gate op and the mode contract of inference entry points.
 
-:func:`repro.core.gate.gated_scores` must compute what the autograd
-``SlaveStage`` forward computes (to round-off, including filter logits
-whose ``exp`` overflows) at every row count around its block size, without
-ever holding the whole parameter filter.  Every inference entry point must
-hand the detector back in the train/eval mode it was given.
+:func:`repro.core.gate.gated_head` (and :func:`~repro.core.gate.gated_scores`,
+the same op under ``no_grad``) must compute what the autograd reference
+``GateFunction`` + ``MasterClassifier.forward_gated`` computes, forward and
+backward (to round-off, including filter logits whose ``exp`` overflows), at
+every row count around its block size, without ever holding the whole
+parameter filter.  The training forward and inference agree bit for bit.
+Every inference entry point must hand the detector back in the train/eval
+mode it was given.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import CMSFConfig, CMSFDetector, build_score_cache, slave_predict_proba
-from repro.core.gate import ROW_BLOCK, SlaveStage, gated_scores
+from repro.core.gate import ROW_BLOCK, SlaveStage, gated_head, gated_scores
 from repro.core.gscm import GSCMOutput
 from repro.core.master import MasterModel
 from repro.nn.tensor import Tensor, dtype_scope, no_grad
@@ -30,10 +33,10 @@ SMALL = dict(hidden_dim=16, image_reduce_dim=16, classifier_hidden=8,
 OVERFLOW_BIAS = -1000.0
 
 
-def _stage(dtype: str) -> SlaveStage:
+def _stage(dtype: str, poi_dim: int = 4, img_dim: int = 4) -> SlaveStage:
     config = CMSFConfig(dtype=dtype, **SMALL)
     rng = np.random.default_rng(5)
-    master = MasterModel(poi_dim=4, img_dim=4, config=config, rng=rng)
+    master = MasterModel(poi_dim=poi_dim, img_dim=img_dim, config=config, rng=rng)
     stage = SlaveStage(master, config, rng)
     bias = stage.gate.filter.bias.data
     bias[::97] = OVERFLOW_BIAS
@@ -95,6 +98,83 @@ class TestGatedScoresKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < full_filter / 2
+
+
+def _leaf_inputs(stage: SlaveStage, out: GSCMOutput):
+    """The representations and context vectors as leaves requiring grad."""
+    with no_grad(), dtype_scope(stage.master.config.dtype):
+        inclusion = stage.pseudo_predictor(out.cluster_repr)
+        context = stage.gate.context_vector(out.assignment, inclusion)
+        return (Tensor(out.enhanced.data, requires_grad=True),
+                Tensor(context.data, requires_grad=True))
+
+
+def _gated_parameters(stage: SlaveStage):
+    classifier = stage.master.classifier
+    return [stage.gate.filter.weight, stage.gate.filter.bias,
+            classifier.w1, classifier.b1, classifier.w2, classifier.b2]
+
+
+class TestGatedHeadBackward:
+    @pytest.mark.parametrize("dtype,rtol,atol", [("float64", 1e-9, 1e-12),
+                                                 ("float32", 1e-4, None)])
+    @pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      2 * ROW_BLOCK + 3])
+    def test_gradients_match_autograd_forward_gated(self, dtype, rtol, atol, rows):
+        stage = _stage(dtype)
+        out = _gscm_output(stage, rows, seed=rows)
+        upstream = np.random.default_rng(rows).normal(size=rows)
+        heads = {
+            "fused": lambda x, c: gated_head(x, c, stage.gate.filter,
+                                             stage.master.classifier),
+            "reference": lambda x, c: stage.master.classifier.forward_gated(
+                x, stage.gate.parameter_filter(c)),
+        }
+        grads = {}
+        for name, head in heads.items():
+            enhanced, context = _leaf_inputs(stage, out)
+            for param in _gated_parameters(stage):
+                param.zero_grad()
+            with warnings.catch_warnings(), dtype_scope(dtype):
+                warnings.simplefilter("error", RuntimeWarning)
+                (head(enhanced, context) * Tensor(upstream)).sum().backward()
+            grads[name] = [enhanced.grad, context.grad] + [
+                param.grad for param in _gated_parameters(stage)]
+        assert len(grads["fused"]) == 8
+        for fused, reference in zip(grads["fused"], grads["reference"]):
+            assert fused.dtype == np.dtype(dtype)
+            # float32: an entry summed from cancelling terms keeps the
+            # terms' round-off, so there atol scales with the largest entry
+            np.testing.assert_allclose(
+                fused, reference, rtol=rtol,
+                atol=atol if atol is not None else 1e-6 * np.abs(reference).max())
+
+    def test_training_forward_equals_gated_scores(self, tiny_graph_small_image):
+        graph = tiny_graph_small_image
+        stage = _stage("float64", graph.poi_dim, graph.image_dim)
+        probs, _ = stage(graph)
+        assert probs.requires_grad
+        with no_grad():
+            _, gscm_out = stage.master.encode(graph)
+        np.testing.assert_array_equal(probs.data, gated_scores(stage, gscm_out))
+        np.testing.assert_array_equal(probs.data, slave_predict_proba(stage, graph))
+
+    def test_peak_memory_stays_below_half_a_filter(self):
+        stage = _stage("float64")
+        rows = 8 * ROW_BLOCK
+        out = _gscm_output(stage, rows, seed=2)
+        enhanced, context = _leaf_inputs(stage, out)
+        full_filter = rows * stage.master.classifier.num_gated_parameters * 8
+        tracemalloc.start()
+        try:
+            probs = gated_head(enhanced, context, stage.gate.filter,
+                               stage.master.classifier)
+            probs.sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert context.grad is not None and stage.gate.filter.weight.grad is not None
         assert peak < full_filter / 2
 
 

@@ -7,9 +7,12 @@ gradients it receives.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.nn.tensor import (Tensor, as_tensor, concatenate, maximum, no_grad,
                              stack, where)
 
@@ -207,6 +210,71 @@ class TestAutogradMechanics:
         mask = x > 1.5
         assert isinstance(mask, np.ndarray)
         assert mask.tolist() == [False, True, True]
+
+
+class TestTapeRelease:
+    """``backward()`` consumes the graph: activations and intermediate
+    gradients are freed as it goes, leaves keep their gradients."""
+
+    def test_non_leaves_are_released_and_leaves_keep_grads(self, rng):
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 3)))
+        hidden = x.matmul(w) + b
+        active = F.relu(hidden)
+        loss = (active * active).sum()
+        loss.backward()
+        for node in (hidden, active, loss):
+            assert node.grad is None and node._parents == ()
+        assert w.grad is not None and w.grad.shape == w.shape
+        assert b.grad is not None and b.grad.shape == b.shape
+        assert x.grad is None   # a leaf without requires_grad gets none
+
+    def test_second_backward_through_a_consumed_graph_raises(self, rng):
+        x = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        hidden = x * 2.0
+        loss = hidden.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (hidden * 3.0).sum().backward()
+
+    def test_master_forward_tape_is_freed_by_backward(self, tiny_graph):
+        """A one-layer MAGA master forward: what is still allocated after
+        ``backward()`` (parameter gradients, with ``loss`` still referenced)
+        is a small fraction of the tape that forward recorded."""
+        from repro.core import CMSFConfig
+        from repro.core.master import MasterModel
+        from repro.nn.losses import binary_cross_entropy
+
+        config = CMSFConfig(hidden_dim=16, image_reduce_dim=16,
+                            classifier_hidden=8, maga_layers=1, maga_heads=2,
+                            num_clusters=6, dropout=0.0, seed=0)
+        model = MasterModel(poi_dim=tiny_graph.poi_dim,
+                            img_dim=tiny_graph.image_dim, config=config,
+                            rng=np.random.default_rng(0))
+        plan = model.graph_plan(tiny_graph)
+        labelled = tiny_graph.labeled_indices()
+        targets = tiny_graph.labels[labelled].astype(np.float64)
+
+        def loss_of_one_forward():
+            return binary_cross_entropy(model(tiny_graph, plan=plan)[labelled],
+                                        targets)
+
+        loss_of_one_forward().backward()   # warm every lazily built cache
+        for param in model.parameters():
+            param.zero_grad()
+        tracemalloc.start()
+        try:
+            loss = loss_of_one_forward()
+            tape, _ = tracemalloc.get_traced_memory()
+            loss.backward()
+            still_allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert still_allocated < 0.1 * tape, (still_allocated, tape)
+        assert loss.grad is None and loss._parents == ()
 
 
 class TestThreadLocalScopes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -209,6 +210,27 @@ class TestTransport:
             finally:
                 client.close()
         assert nodelay and all(nodelay)
+
+
+class TestServerLifecycle:
+    def test_stop_without_serve_loop_returns(self, model_registry):
+        """``ThreadingHTTPServer.shutdown()`` waits for an event only the
+        serve loop sets; a server that never served must still stop."""
+        server = ScoringServer(model_registry, quiet=True)
+        port = server.port
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+        with socket.socket() as probe:   # the socket is closed too
+            assert probe.connect_ex(("127.0.0.1", port)) != 0
+
+    def test_stop_after_start_releases_the_port(self, model_registry):
+        server = ScoringServer(model_registry, quiet=True).start()
+        port = server.port
+        server.stop()
+        with socket.socket() as rebind:
+            rebind.bind(("127.0.0.1", port))
 
 
 class TestScoringServiceUnit:
