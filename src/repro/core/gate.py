@@ -213,10 +213,8 @@ def train_slave(master_result: MasterTrainingResult, graph: UrbanRegionGraph,
 
             if val_indices.size and _val_due(epoch, config.val_interval,
                                              config.slave_epochs):
-                stage.eval()
-                with no_grad():
+                with stage.evaluating(), no_grad():
                     val_probs, _ = stage(graph, plan=plan)
-                stage.train()
                 monitored = binary_auc(val_targets, val_probs.data[val_indices])
             elif val_indices.size:
                 # Off-interval epoch: skip the extra inference forward.

@@ -208,8 +208,8 @@ def build_score_cache(detector, graph: UrbanRegionGraph,
 
     This is ``CMSFDetector.predict_proba`` (which returns its ``scores``)
     and so also the serving engine's cold path: the encoder forward
-    (capture only keeps references) followed by :func:`tail_scores`.  The
-    detector's train/eval modes are restored afterwards.
+    (capture only keeps references) followed by :func:`tail_scores`, in
+    a per-thread evaluation scope that leaves every module's mode as it is.
     """
     detector.check_fitted()
     master = _master_model(detector)

@@ -277,10 +277,8 @@ def train_master(model: MasterModel, graph: UrbanRegionGraph,
     stopper.restore_best()
 
     # Fix the hierarchical structure and derive pseudo labels (Eq. 16).
-    model.eval()
-    with no_grad():
+    with model.evaluating(), no_grad():
         _, gscm_out = model.encode(graph, plan=plan)
-    model.train()
     if gscm_out is not None:
         hard = gscm_out.hard_assignment
         pseudo = GlobalSemanticClustering.derive_pseudo_labels(

@@ -59,7 +59,7 @@ class SegmentPlan:
     """
 
     __slots__ = ("ids", "num_segments", "num_entries", "counts",
-                 "_scatter_ops", "_perm", "_starts", "_present")
+                 "_scatter_ops", "_offsets")
 
     def __init__(self, ids: np.ndarray, num_segments: int) -> None:
         ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -79,9 +79,8 @@ class SegmentPlan:
         #: the matrix data dtype to the operand keeps float32 inputs float32
         #: instead of silently upcasting through the product
         self._scatter_ops: Dict[np.dtype, sp.csr_matrix] = {}
-        self._perm: Optional[np.ndarray] = None
-        self._starts: Optional[np.ndarray] = None
-        self._present: Optional[np.ndarray] = None
+        #: (perm, starts, present) of the stable sort, built lazily
+        self._offsets: Optional[Tuple[np.ndarray, ...]] = None
 
     # ------------------------------------------------------------------
     # lazily built operators
@@ -104,12 +103,12 @@ class SegmentPlan:
         return op
 
     def _sorted_offsets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._perm is None:
+        # one store: threads sharing the plan see all three arrays or none
+        if self._offsets is None:
             perm = np.argsort(self.ids, kind="stable")
-            sorted_ids = self.ids[perm]
-            present, starts = np.unique(sorted_ids, return_index=True)
-            self._perm, self._starts, self._present = perm, starts, present
-        return self._perm, self._starts, self._present
+            present, starts = np.unique(self.ids[perm], return_index=True)
+            self._offsets = (perm, starts, present)
+        return self._offsets
 
     # ------------------------------------------------------------------
     # raw kernels (plain numpy in / plain numpy out)

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, get_default_dtype
+from .tensor import Tensor, _state, get_default_dtype
 
 
 class Parameter(Tensor):
@@ -85,6 +85,15 @@ class Module:
     # ------------------------------------------------------------------
     # mode and gradient management
     # ------------------------------------------------------------------
+    @property
+    def training(self) -> bool:
+        """This module's own mode, read as False inside :meth:`evaluating`."""
+        return self._training and not _state.evaluating
+
+    @training.setter
+    def training(self, mode: bool) -> None:
+        self._training = bool(mode)
+
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively."""
         self.training = mode
@@ -98,19 +107,19 @@ class Module:
 
     @contextmanager
     def evaluating(self) -> Iterator["Module"]:
-        """Evaluation mode inside the block; every submodule's own mode after.
+        """Evaluation mode for the calling thread inside the block.
 
-        Inference entry points run under this, so they hand the caller's
-        model back in the mode it was given: an eval-mode model must not
-        come back in training mode, with dropout on.
+        Per-thread, like :class:`~repro.nn.tensor.no_grad`, and thread-wide:
+        every module the thread runs, not only this one, reads ``training``
+        as False.  It writes no module attribute, so other threads keep
+        their mode and share the model without a lock.  Scopes nest.
         """
-        modes = [(module, module.training) for _, module in self.named_modules()]
-        self.eval()
+        previous = _state.evaluating
+        _state.evaluating = True
         try:
             yield self
         finally:
-            for module, mode in modes:
-                module.training = mode
+            _state.evaluating = previous
 
     def zero_grad(self) -> None:
         """Clear the gradient of every parameter."""

@@ -32,7 +32,7 @@ _SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class _ThreadState(threading.local):
-    """Per-thread autograd/dtype flags.
+    """Per-thread autograd/dtype/evaluation flags.
 
     These used to be module globals, which made ``no_grad`` and
     ``dtype_scope`` racy under concurrency: two serving threads
@@ -50,6 +50,7 @@ class _ThreadState(threading.local):
     def __init__(self) -> None:
         self.grad_enabled = True
         self.default_dtype = np.dtype(np.float64)
+        self.evaluating = False  # inside a Module.evaluating() scope
 
 
 _state = _ThreadState()

@@ -8,9 +8,9 @@ speed mechanisms the offline pipeline does not have:
   by :meth:`UrbanRegionGraph.fingerprint`, so repeated scoring of the same
   city (the common serving pattern: many requests about one region set)
   costs one hash instead of a forward pass;
-* **thread-pooled multi-city scoring** — :meth:`score_many` fans
-  independent graphs out over a thread pool (numpy releases the GIL in
-  the BLAS-heavy parts) for concurrent multi-city requests;
+* **concurrent cold scoring** — inference mutates no module state, so
+  cold forwards of different cities run at once, from :meth:`score_many`'s
+  thread pool or concurrent callers (numpy releases the GIL);
 * **edge-plan cache** — cold forward passes reuse a fingerprint-keyed
   :class:`~repro.nn.graphops.EdgePlan` (self-loop augmentation, prebuilt
   scatter operators, validated ids), so repeated cold scoring across many
@@ -18,7 +18,8 @@ speed mechanisms the offline pipeline does not have:
 * **cache-stampede guard** — concurrent cold requests for one fingerprint
   rendezvous on a per-fingerprint in-flight entry, so N threads asking for
   the same city pay one forward pass between them even when LRU eviction
-  pressure would have dropped the result before the waiters reached it.
+  pressure would have dropped the result before the waiters reached it;
+  it only deduplicates requests, the model itself needs no lock.
 
 The engine also accepts externally computed state: the streaming layer
 seeds full score vectors (:meth:`InferenceEngine.seed_scores`) and edge
@@ -224,9 +225,6 @@ class InferenceEngine:
         #: whose result was evicted (or whose labels changed) reuses the
         #: structural precomputation without even re-hashing the edge bytes
         self._plan_cache = _LRUCache(capacity=plan_cache_size)
-        #: serialises cold forward passes — the underlying modules flip
-        #: train/eval mode in place, which is not re-entrant
-        self._predict_lock = threading.Lock()
         #: per-fingerprint in-flight computes: concurrent cold requests for
         #: the same city wait on the first thread's result instead of each
         #: recomputing it (the LRU alone cannot guarantee that — under
@@ -335,16 +333,6 @@ class InferenceEngine:
         """Whether the result cache can hold seeded score vectors."""
         return self._cache.capacity > 0
 
-    @property
-    def model_lock(self) -> threading.Lock:
-        """The lock serialising direct use of the detector's modules.
-
-        The modules flip train/eval mode in place, so any out-of-engine
-        forward pass (the streaming layer's incremental rescoring) must
-        hold this lock to coexist with the engine's own cold path.
-        """
-        return self._predict_lock
-
     def stats_summary(self) -> Dict[str, object]:
         """The engine's performance counters as one JSON-shaped dict.
 
@@ -390,9 +378,11 @@ class InferenceEngine:
         if regions is not None:
             try:
                 region_index = np.asarray(list(regions))
+                if region_index.ndim != 1:
+                    raise ValueError(f"got shape {region_index.shape}")
             except (TypeError, ValueError) as error:
-                raise ValueError(f"regions must be a list of node indices: "
-                                 f"{error}") from error
+                raise ValueError(f"regions must be a flat list of node "
+                                 f"indices: {error}") from error
             if region_index.size and not np.issubdtype(region_index.dtype,
                                                        np.integer):
                 # an int64 cast would silently truncate 1.9 -> region 1
@@ -461,10 +451,10 @@ class InferenceEngine:
     def score_many(self, graphs: Sequence[UrbanRegionGraph]) -> List[ScoreResult]:
         """Score several graphs concurrently (one thread per graph).
 
-        Results are returned in input order.  The cold forward pass itself
-        is serialised (the modules are stateful), but fingerprint hashing,
-        cache lookups and post-processing overlap across threads — and any
-        graph already cached completes without touching the model at all.
+        Results are returned in input order.  Cold forward passes of
+        distinct cities run concurrently; duplicates of one city share a
+        single forward (the stampede guard), and any graph already cached
+        completes without touching the model at all.
         """
         if not graphs:
             return []
@@ -501,9 +491,9 @@ class InferenceEngine:
         directly to every concurrent requester of the same city, so the
         dedup holds even when LRU pressure evicts the entry before the
         waiters get to the cache — previously each of N concurrent cold
-        requests could pay its own forward pass in that window.  The
-        forward itself still runs under the model lock (the modules are
-        stateful); if the computing thread fails, one waiter at a time
+        requests could pay its own forward pass in that window.  Forwards
+        of different fingerprints run concurrently: nothing locks the
+        model.  If the computing thread fails, one waiter at a time
         retries so a transient error cannot wedge the fingerprint.
         """
         while True:
@@ -518,15 +508,15 @@ class InferenceEngine:
                     self._inflight[fingerprint] = entry
             if owner:
                 try:
-                    with self._predict_lock:
-                        scores = self._cache.peek(fingerprint)
-                        if scores is None:
-                            cold_start = time.perf_counter()
-                            scores = self._cold_scores(graph, fingerprint)
-                            self._m_cold_seconds.observe(
-                                time.perf_counter() - cold_start)
+                    scores = self._cache.peek(fingerprint)
+                    if scores is None:
+                        cold_start = time.perf_counter()
+                        scores = self._cold_scores(graph, fingerprint)
+                        self._m_cold_seconds.observe(
+                            time.perf_counter() - cold_start)
+                        with self._inflight_lock:
                             self.cold_computes += 1
-                            self._cache.put(fingerprint, scores)
+                        self._cache.put(fingerprint, scores)
                     entry.result = scores
                 except BaseException as error:
                     entry.error = error

@@ -635,10 +635,16 @@ class ScoringService:
             raise RolloutError("a rollout is already in progress — abort "
                                "or finish it before starting another")
         stages = request.get("stages")
-        if stages is None:
-            fraction = request.get("canary_fraction")
-            stages = (stages_for_fraction(float(fraction))
-                      if fraction is not None else DEFAULT_STAGES)
+        try:
+            if stages is None:
+                fraction = request.get("canary_fraction")
+                stages = (stages_for_fraction(float(fraction))
+                          if fraction is not None else DEFAULT_STAGES)
+            stages = [float(stage) for stage in stages]
+            seed = int(request.get("seed", 0))
+            threshold = float(request.get("threshold", 0.5))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ServiceError(400, f"bad rollout field: {error}") from error
         policy_fields = request.get("policy") or {}
         if not isinstance(policy_fields, dict):
             raise ServiceError(400, "'policy' must be an object")
@@ -651,9 +657,8 @@ class ScoringService:
         controller = RolloutController(
             _ServiceRolloutBackend(self), model, str(version),
             resolve_engine=self.engine_for, policy=policy, stages=stages,
-            seed=int(request.get("seed", 0)),
-            auto=bool(request.get("auto", True)),
-            threshold=float(request.get("threshold", 0.5)),
+            seed=seed, auto=bool(request.get("auto", True)),
+            threshold=threshold,
             metrics=self.metrics)
         with self._lock:
             streams = sorted(name for name, entry in self._streams.items()
@@ -996,7 +1001,10 @@ class _Handler(BaseHTTPRequestHandler):
         handler = handlers.get(self.path)
         if handler is None:
             raise ServiceError(404, f"unknown endpoint {self.path!r}")
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError as error:
+            raise ServiceError(400, "bad Content-Length header") from error
         if length <= 0:
             raise ServiceError(400, "missing request body")
         if length > MAX_BODY_BYTES:

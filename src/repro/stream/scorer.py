@@ -56,9 +56,9 @@ serialised by a lock, and readers obtain the whole version under the same
 lock — so a concurrent :meth:`score` sees either the pre-delta or the
 post-delta graph in full, never a half-applied state, and its scores are
 always bit-identical to a full-rebuild ``predict_proba`` of whichever
-version it observed.  Incremental forwards touch the detector's stateful
-modules, so they run under the engine's model lock, interleaving safely
-with cold scoring of other graphs through the same engine.
+version it observed.  Inference mutates no module state, so incremental
+rescores of different streams sharing one engine run concurrently with
+each other and with the engine's cold scoring of other graphs.
 """
 
 from __future__ import annotations
@@ -633,7 +633,9 @@ class StreamingScorer:
     def _rescore(self, state: _StreamState, new_graph: UrbanRegionGraph,
                  plan: Optional[EdgePlan], seeds: Optional[DeltaSeeds]):
         """Compute the new version's scores; returns (mode, cache, affected)."""
-        from ..core.incremental import subset_rescore
+        from ..core.incremental import (_master_model, build_score_cache,
+                                        subset_rescore)
+        detector = self._engine.detector
         if not self.incremental_active:
             # the pre-incremental behaviour: no activation cache is kept,
             # the engine's own cold path computes the scores on demand
@@ -645,43 +647,36 @@ class StreamingScorer:
                           and state.cache is not None
                           and not (seeds.num_added or seeds.num_removed))
         if not incremental_ok:
-            return "full", self._build_cache(new_graph, plan), np.zeros(0, np.int64)
+            return ("full", build_score_cache(detector, new_graph, plan),
+                    np.zeros(0, np.int64))
 
-        from ..core.incremental import _master_model
-        hops = len(_master_model(self._engine.detector).encoder.layers)
+        hops = len(_master_model(detector).encoder.layers)
         # the seeds live in the new id space, so measure the receptive
         # field on the new plan before paying for any recomputation
         affected = affected_regions(plan, seeds.touched, hops, direction="out")
         fraction = affected.size / max(new_graph.num_nodes, 1)
         if self.incremental == "auto" and fraction > self.incremental_cutoff:
             self.stats.cutoff_fallbacks += 1
-            return "full", self._build_cache(new_graph, plan), np.zeros(0, np.int64)
+            return ("full", build_score_cache(detector, new_graph, plan),
+                    np.zeros(0, np.int64))
 
-        with self._engine.model_lock:
-            result = subset_rescore(self._engine.detector, new_graph, plan,
-                                    seeds, state.cache)
+        result = subset_rescore(detector, new_graph, plan, seeds, state.cache)
         if self._pending_verify and self.incremental == "auto":
             self._pending_verify = False
             self.stats.verified_rescores += 1
-            oracle = self._build_cache(new_graph, plan)
+            oracle = build_score_cache(detector, new_graph, plan)
             if not self._scores_match(result.scores, oracle.scores):
                 self.stats.verify_failures += 1
                 self._incremental_disabled = True
                 return "full", oracle, np.zeros(0, np.int64)
         return "incremental", result.cache, result.interior
 
-    def _build_cache(self, graph: UrbanRegionGraph,
-                     plan: Optional[EdgePlan]) -> ScoreCache:
-        from ..core.incremental import build_score_cache
-        with self._engine.model_lock:
-            return build_score_cache(self._engine.detector, graph, plan=plan)
-
     def _full_rescore_locked(self) -> None:
         """Warm the initial version (scores + activation cache)."""
         with self._lock:
             state = self._state
             if self.incremental_active:
-                cache = self._build_cache(state.graph, state.plan)
+                cache = self._engine.detector.build_score_cache(state.graph, state.plan)
                 if self._engine.caching_enabled:
                     self._engine.seed_scores(state.fingerprint, cache.scores)
                 self._state = _StreamState(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,54 @@ class TestModuleSystem:
         assert all(not m.training for _, m in model.named_modules())
         model.train()
         assert all(m.training for _, m in model.named_modules())
+
+    def test_evaluating_scope_is_per_thread(self, rng):
+        """While thread A sits in ``evaluating()``, thread B (here, the
+        test's own thread) still sees every submodule in training mode."""
+        model = _ToyModel(rng)
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def evaluate():
+            with model.evaluating():
+                seen["a"] = [m.training for _, m in model.named_modules()]
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=evaluate)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert all(m.training for _, m in model.named_modules())
+        finally:
+            release.set()
+            thread.join(10)
+        assert seen["a"] == [False, False, False]
+
+    def test_evaluating_writes_no_flag_and_nests(self, rng):
+        model = _ToyModel(rng)
+        other = Dropout(0.5, rng)
+        model.second.eval()
+
+        def modes():
+            return {name: m.training for name, m in model.named_modules()}
+
+        before = modes()
+        assert before == {"": True, "first": True, "second": False}
+        with model.evaluating():
+            # the scope covers the whole thread, not just this model
+            assert not other.training
+            with model.first.evaluating():
+                assert not any(modes().values())
+            assert not any(modes().values())
+            model.second.train()  # a flag set inside the scope persists
+            assert not model.second.training
+        assert modes() == {"": True, "first": True, "second": True}
+        model.second.eval()
+        with pytest.raises(RuntimeError):
+            with model.evaluating():
+                raise RuntimeError("unwinds")
+        assert modes() == before and other.training
 
     def test_state_dict_roundtrip(self, rng):
         model = _ToyModel(rng)

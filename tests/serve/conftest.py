@@ -26,8 +26,8 @@ def shard_factory(model_registry):
     """Build independent in-process shards from the published bundle.
 
     Every shard gets its *own* detector instance (loaded from the bundle,
-    so identical float64 parameters) — sharing one stateful module set
-    between shards would race under the concurrency soak.
+    so identical float64 parameters), as every shard of a real fleet
+    loads its own.
     """
     def make(shard_id, cache_size=8, **stream_defaults):
         engine = InferenceEngine.from_bundle(

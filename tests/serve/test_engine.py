@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.core.incremental as incremental
+from repro.nn.graphops import clear_plan_cache
 from repro.serve import InferenceEngine
+from repro.stream import GraphDelta, StreamingScorer
 
 
 @pytest.fixture()
@@ -134,6 +140,9 @@ class TestScoring:
             engine.score(tiny_graph_small_image, regions=[1.9])
         with pytest.raises(ValueError, match="regions"):
             engine.score(tiny_graph_small_image, regions=["a"])
+        # not a nested list: it would score as nested probabilities
+        with pytest.raises(ValueError, match="flat list"):
+            engine.score(tiny_graph_small_image, regions=[[1, 2]])
         # empty selections are fine
         result = engine.score(tiny_graph_small_image, regions=[])
         assert result.probabilities.size == 0
@@ -183,3 +192,103 @@ class TestConcurrency:
 
     def test_score_many_empty(self, engine):
         assert engine.score_many([]) == []
+
+    def test_cold_forwards_of_distinct_cities_overlap(self, model_registry,
+                                                      fleet_cities,
+                                                      monkeypatch):
+        """Two cold forwards run at once on one engine: each waits at a
+        two-party barrier inside the forward, which only passes while
+        both are in flight (a lock around the model breaks it)."""
+        engine = InferenceEngine.from_bundle(model_registry.load("tiny"),
+                                             cache_size=0)
+        detector = engine.detector
+        graphs = list(fleet_cities.values())[:2]
+        assert graphs[0].fingerprint() != graphs[1].fingerprint()
+        expected = [detector.predict_proba(graph) for graph in graphs]
+        barrier = threading.Barrier(2, timeout=10)
+        predict = detector.predict_proba
+
+        def rendezvous(graph, plan=None):
+            barrier.wait()
+            return predict(graph, plan=plan)
+
+        monkeypatch.setattr(detector, "predict_proba", rendezvous)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(engine.score, graphs))
+        for result, reference in zip(results, expected):
+            assert not result.cache_hit
+            np.testing.assert_array_equal(result.probabilities, reference)
+        assert engine.cold_computes == 2
+
+    def test_concurrent_cold_scores_stress(self, model_registry, fleet_cities,
+                                           monkeypatch):
+        """Six threads on two cores each cold-score their own city five
+        times under a short switch interval.  Each city has a relabelled
+        twin that shares its freshly built edge plan, and every forward
+        ends at a six-party barrier, so the threads count their computes
+        at the same moment: every score stays exact and no count is lost."""
+        engine = InferenceEngine.from_bundle(model_registry.load("tiny"),
+                                             cache_size=0)
+        detector = engine.detector
+        graphs = []
+        for graph in fleet_cities.values():
+            labels = np.where(graph.labels == 1, 0, graph.labels)
+            graphs += [graph, graph.with_labels(labels, graph.labeled_mask)]
+        expected = [detector.predict_proba(graph) for graph in graphs]
+        clear_plan_cache()
+        barrier = threading.Barrier(len(graphs), timeout=10)
+        predict = detector.predict_proba
+
+        def in_step(graph, plan=None):
+            scores = predict(graph, plan=plan)
+            barrier.wait()
+            return scores
+
+        monkeypatch.setattr(detector, "predict_proba", in_step)
+        rounds = 5
+
+        def client(graph):
+            return [engine.score(graph).probabilities for _ in range(rounds)]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(graphs)) as pool:
+                results = list(pool.map(client, graphs))
+        finally:
+            sys.setswitchinterval(previous)
+        for scores, reference in zip(results, expected):
+            for probabilities in scores:
+                np.testing.assert_array_equal(probabilities, reference)
+        assert engine.cold_computes == rounds * len(graphs)
+
+    def test_incremental_rescores_of_two_streams_overlap(self, model_registry,
+                                                         fleet_cities,
+                                                         monkeypatch):
+        """Incremental rescores of two streams sharing one engine run at
+        once (same barrier, around ``subset_rescore``) and stay
+        bit-identical to a full rebuild of each new version."""
+        engine = InferenceEngine.from_bundle(model_registry.load("tiny"))
+        detector = engine.detector
+        graphs = list(fleet_cities.values())[:2]
+        scorers = [StreamingScorer(engine, graph, warm=True,
+                                   incremental="always") for graph in graphs]
+        rows = np.array([3, 40])
+        deltas = [GraphDelta(kind="poi_patch", poi_rows=rows,
+                             poi_values=graph.x_poi[rows] + 0.25)
+                  for graph in graphs]
+        barrier = threading.Barrier(2, timeout=10)
+        rescore = incremental.subset_rescore
+
+        def rendezvous(*args, **kwargs):
+            barrier.wait()
+            return rescore(*args, **kwargs)
+
+        monkeypatch.setattr(incremental, "subset_rescore", rendezvous)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            updates = list(pool.map(lambda job: job[0].update(job[1]),
+                                    zip(scorers, deltas)))
+        for update, graph, delta in zip(updates, graphs, deltas):
+            assert update.mode == "incremental"
+            np.testing.assert_array_equal(
+                update.probabilities, detector.predict_proba(delta.apply(graph)))
